@@ -27,7 +27,7 @@ from .errors import (
     SvmError,
 )
 from .evaluate import CvConfig, CvReport, cross_validate, stratified_folds
-from .expansion import ExpansionPlan, expand_star, expanded_family, nask_kernel
+from .expansion import ExpansionPlan, nask_kernel
 from .gram import (
     GramMatrix,
     GramMeta,
@@ -43,25 +43,12 @@ from .graph import (
     AttributeSchema,
     AttributeVector,
     DimensionSpec,
-    ExpandedStar,
     canonical_edge,
     neighbors,
     permute_graph,
 )
-from .similarity import (
-    SimilarityParams,
-    element_similarity_P,
-    exp_transform,
-    partial_similarity,
-)
-from .stars import (
-    KernelContext,
-    decompose,
-    enumerate_stars,
-    extract_star,
-    graph_kernel_KS,
-    star_pair_kernel_ks,
-)
+from .similarity import SimilarityParams
+from .stars import KernelContext, graph_kernel_KS
 from .svm import (
     BinarySvm,
     SvmModel,
@@ -86,7 +73,6 @@ __all__ = [
     "DatasetError",
     "DegenerateClassError",
     "DimensionSpec",
-    "ExpandedStar",
     "ExpansionPlan",
     "GramComputeError",
     "GramFormatError",
@@ -108,14 +94,7 @@ __all__ = [
     "compute_ranges",
     "cross_validate",
     "decision_function",
-    "decompose",
-    "element_similarity_P",
-    "enumerate_stars",
-    "exp_transform",
-    "expand_star",
-    "expanded_family",
     "export_gram",
-    "extract_star",
     "graph_kernel_KS",
     "import_gram",
     "load_model",
@@ -123,12 +102,10 @@ __all__ = [
     "nask_kernel",
     "neighbors",
     "normalize_gram",
-    "partial_similarity",
     "permute_graph",
     "predict",
     "save_model",
     "save_tu_dataset",
-    "star_pair_kernel_ks",
     "stratified_folds",
     "train_binary",
     "train_ovr",

@@ -148,7 +148,6 @@ def cmd_gram(args) -> int:
         edge_elements=args.edge_elements,
         normalize=args.normalize,
         threads=args.threads,
-        compensated=args.compensated,
     )
     out = export_gram(gram, args.out)
     _write_manifest("gram", args, [out], ds.digest, time.perf_counter() - started)
@@ -331,7 +330,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_gram.add_argument("--edge-elements", choices=("auto", "on", "off"), default="auto")
     p_gram.add_argument("--normalize", action="store_true")
     p_gram.add_argument("--threads", type=int, default=None)
-    p_gram.add_argument("--compensated", action="store_true", help="compensated summation (diagnostic)")
     p_gram.add_argument("--out", required=True)
     p_gram.set_defaults(func=cmd_gram)
 

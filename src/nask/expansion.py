@@ -1,11 +1,13 @@
-"""Neighborhood expansion of stars and the depth-summed graph kernel.
+"""Neighborhood expansion depth and the depth-summed graph kernel.
 
 Expanding a star by one step adds every edge of the parent graph with at
 least one endpoint in the current ball, together with the nodes those
 edges reach. Repeating this grows the ball to the h-hop neighborhood of
 the center. The depth-H kernel sums the star-pair kernel over the depth-h
 families for h = 1..H, capped per pair by both graph orders, and reduces
-to the plain star kernel at H = 1.
+to the plain star kernel at H = 1. The engine grows all stars of a graph
+at once as indicator matrices (see stars.py); the literal one-star-at-a-
+time growth lives in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -13,52 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .graph import AttributedGraph, ExpandedStar, canonical_edge
-from .stars import KernelContext, enumerate_stars
+from .graph import AttributedGraph
+from .stars import KernelContext
 
 
 @dataclass(frozen=True)
 class ExpansionPlan:
-    """Depth budget and family caching policy for kernel evaluation."""
+    """Depth budget for kernel evaluation."""
 
     max_depth: int = 4
-    cache_families: bool = True
 
     def __post_init__(self):
         if not isinstance(self.max_depth, int) or self.max_depth < 1:
             raise ConfigError(f"max_depth must be an integer >= 1, got {self.max_depth!r}")
-
-
-def expand_star(s: ExpandedStar, g: AttributedGraph) -> ExpandedStar:
-    """Grow a star by one hop; idempotent once the component is covered."""
-    if s.graph_id != g.graph_id:
-        raise ConfigError(
-            f"star belongs to graph {s.graph_id}, not graph {g.graph_id}"
-        )
-    ball = set(s.ball_nodes)
-    new_ball = set(ball)
-    new_edges = set(s.edges)
-    for v in s.ball_nodes:
-        for u in g.adjacency[v]:
-            new_ball.add(u)
-            new_edges.add(canonical_edge(v, u))
-    return ExpandedStar(
-        graph_id=s.graph_id,
-        center=s.center,
-        depth=s.depth + 1,
-        ball_nodes=tuple(sorted(new_ball)),
-        edges=tuple(sorted(new_edges)),
-    )
-
-
-def expanded_family(g: AttributedGraph, h: int) -> tuple[ExpandedStar, ...]:
-    """Depth-h stars for every center, ordered by center id ascending."""
-    if h < 1:
-        raise ConfigError(f"family depth must be >= 1, got {h}")
-    family = enumerate_stars(g)
-    for _ in range(h - 1):
-        family = tuple(expand_star(s, g) for s in family)
-    return family
 
 
 def nask_kernel(
@@ -68,4 +37,4 @@ def nask_kernel(
     ctx: KernelContext,
 ) -> float:
     """Kernel value summed over expansion depths 1..min(H, |Vg|, |Vh|)."""
-    return ctx.pair_value(g, h, plan.max_depth, cache_families=plan.cache_families)
+    return ctx.pair_value(g, h, plan.max_depth)

@@ -119,23 +119,25 @@ def matrix_digest(values: np.ndarray) -> str:
 _WORKER_STATE: dict = {}
 
 
-def _entry_value(ctx: KernelContext, graphs, plan: ExpansionPlan, i: int, j: int) -> float:
-    try:
-        value = ctx.pair_value(graphs[i], graphs[j], plan.max_depth, plan.cache_families)
-    except MemoryError as exc:
-        raise GramComputeError(f"resource exhaustion while computing pair ({i}, {j})") from exc
-    except FloatingPointError as exc:
-        raise GramComputeError(f"numeric failure while computing pair ({i}, {j})") from exc
-    if not math.isfinite(value):
-        raise GramComputeError(f"non-finite kernel value at pair ({i}, {j})")
-    return value
+def _pair_values(pairs, job=None) -> list[float]:
+    """Kernel values of (i, j) pairs in order, for a job (ctx, graphs, depth).
 
-
-def _worker_block(block) -> list[float]:
-    ctx = _WORKER_STATE["ctx"]
-    graphs = _WORKER_STATE["graphs"]
-    plan = _WORKER_STATE["plan"]
-    return [_entry_value(ctx, graphs, plan, i, j) for i, j in block]
+    Forked pool workers pass no job and read the one the parent left in
+    _WORKER_STATE.
+    """
+    ctx, graphs, depth = job if job is not None else _WORKER_STATE["job"]
+    values = []
+    for i, j in pairs:
+        try:
+            value = ctx.pair_value(graphs[i], graphs[j], depth)
+        except MemoryError as exc:
+            raise GramComputeError(f"resource exhaustion while computing pair ({i}, {j})") from exc
+        except FloatingPointError as exc:
+            raise GramComputeError(f"numeric failure while computing pair ({i}, {j})") from exc
+        if not math.isfinite(value):
+            raise GramComputeError(f"non-finite kernel value at pair ({i}, {j})")
+        values.append(value)
+    return values
 
 
 def compute_gram(
@@ -146,7 +148,6 @@ def compute_gram(
     edge_elements: str = "auto",
     normalize: bool = False,
     threads: int = 1,
-    compensated: bool = False,
 ) -> GramMatrix:
     """Full kernel matrix of a dataset (ranges must be computed already).
 
@@ -164,9 +165,7 @@ def compute_gram(
         raise ConfigError(f"params must be SimilarityParams, got {type(params).__name__}")
     if not isinstance(plan, ExpansionPlan):
         raise ConfigError(f"plan must be ExpansionPlan, got {type(plan).__name__}")
-    ctx = KernelContext(
-        ds.schema, params, tau=tau, edge_elements=edge_elements, compensated=compensated
-    )
+    ctx = KernelContext(ds.schema, params, tau=tau, edge_elements=edge_elements)
     for g in ds.graphs:
         pack = ctx.register(g)
         pack.family(min(plan.max_depth, pack.n))  # warm caches before forking
@@ -177,16 +176,17 @@ def compute_gram(
     if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
         warnings.warn("fork start method unavailable; computing on one thread")
         threads = 1
+    job = (ctx, ds.graphs, plan.max_depth)
     if threads == 1 or n < 4:
-        flat = _worker_block_local(ctx, ds.graphs, plan, pairs)
+        flat = _pair_values(pairs, job)
     else:
         blocks = [list(chunk) for chunk in np.array_split(np.array(pairs), threads * 4)]
         blocks = [[(int(i), int(j)) for i, j in chunk] for chunk in blocks if len(chunk)]
-        _WORKER_STATE.update(ctx=ctx, graphs=ds.graphs, plan=plan)
+        _WORKER_STATE["job"] = job
         try:
             mp_ctx = multiprocessing.get_context("fork")
             with mp_ctx.Pool(processes=threads) as pool:
-                results = pool.map(_worker_block, blocks)
+                results = pool.map(_pair_values, blocks)
         finally:
             _WORKER_STATE.clear()
         flat = [value for chunk in results for value in chunk]
@@ -204,10 +204,6 @@ def compute_gram(
     )
     gram = GramMatrix(values=values, meta=meta)
     return normalize_gram(gram) if normalize else gram
-
-
-def _worker_block_local(ctx, graphs, plan, pairs) -> list[float]:
-    return [_entry_value(ctx, graphs, plan, i, j) for i, j in pairs]
 
 
 def normalize_gram(gram: GramMatrix) -> GramMatrix:

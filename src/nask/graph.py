@@ -9,7 +9,7 @@ processes without copying.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import SchemaError
@@ -180,32 +180,6 @@ class AttributedGraph:
     def edge_attr_map(self) -> dict:
         """Canonical edge key -> AttributeVector lookup (empty if absent)."""
         return dict(self.edge_attrs) if self.edge_attrs is not None else {}
-
-
-@dataclass(frozen=True)
-class ExpandedStar:
-    """A center node with its depth-h ball and accumulated edge set.
-
-    Depth 1 is the plain star: the center, its neighbors, and the
-    center-leaf edges. Attributes stay on the parent graph; the star
-    references it by graph_id only.
-    """
-
-    graph_id: int
-    center: int
-    depth: int
-    ball_nodes: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...] = field(default=())
-
-    def __post_init__(self):
-        if self.depth < 1:
-            raise SchemaError(f"star depth must be >= 1, got {self.depth}")
-        if self.center not in self.ball_nodes:
-            raise SchemaError(f"star center {self.center} missing from its ball")
-        ball = set(self.ball_nodes)
-        for u, v in self.edges:
-            if u not in ball or v not in ball:
-                raise SchemaError(f"star edge ({u},{v}) leaves the ball")
 
 
 def neighbors(g: AttributedGraph, v: int) -> tuple[int, ...]:

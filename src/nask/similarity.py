@@ -1,10 +1,11 @@
 """Mixed-type attribute similarity for nodes and edges.
 
 Per-dimension partial similarities (equality for categorical dims, scaled
-absolute difference for numerical dims) are pushed through an exponential
-transform and averaged. The scalar functions are the reference semantics;
-the packed variants vectorize the same arithmetic over all pairs of
-elements of two graphs.
+absolute difference clamped to the range for numerical dims, equality for
+zero-width ranges) are pushed through the exponential transform
+exp(-gamma * (1 - s)) and averaged. The packed form vectorizes this over
+all pairs of elements of two graphs; the scalar one-pair-at-a-time
+semantics live in tests/oracles.py as the reference it is checked against.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .graph import CATEGORICAL, NUMERICAL, AttributeVector, DimensionSpec
+from .graph import CATEGORICAL, DimensionSpec
 
 
 @dataclass(frozen=True)
@@ -29,61 +30,6 @@ class SimilarityParams:
             raise ConfigError(f"gamma must be a finite real, got {self.gamma!r}")
         if self.gamma <= 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
-
-
-def partial_similarity(dim: DimensionSpec, a, b) -> float:
-    """Per-dimension similarity in [0, 1].
-
-    Categorical: exact-match indicator on symbol ids. Numerical: one minus
-    the range-scaled absolute difference, clamped into [0, 1]; a zero-width
-    range degenerates to the exact-match indicator.
-    """
-    if dim.kind == CATEGORICAL:
-        if not isinstance(a, int) or not isinstance(b, int):
-            raise SchemaError(f"categorical dimension {dim.name!r} compares symbol ids")
-        return 1.0 if a == b else 0.0
-    if not isinstance(a, (int, float)) or not isinstance(b, (int, float)):
-        raise SchemaError(f"numerical dimension {dim.name!r} compares reals")
-    width = dim.range
-    if width is None:
-        raise SchemaError(f"dimension {dim.name!r} has no computed range")
-    if width == 0.0:
-        return 1.0 if a == b else 0.0
-    q = abs(a - b) / width
-    if q > 1.0:
-        q = 1.0  # query values outside the stored range clamp to zero similarity
-    return 1.0 - q
-
-
-def exp_transform(s: float, p: SimilarityParams) -> float:
-    """Map a partial similarity s in [0,1] to exp(-gamma*(1-s)) in (0,1]."""
-    if not 0.0 <= s <= 1.0:
-        raise SchemaError(f"partial similarity {s} outside [0, 1]")
-    return math.exp(-p.gamma * (1.0 - s))
-
-
-def element_similarity_P(
-    dims: tuple[DimensionSpec, ...],
-    x: AttributeVector,
-    y: AttributeVector,
-    p: SimilarityParams,
-) -> float:
-    """Average transformed per-dimension similarity of two elements.
-
-    Applies identically to node pairs and edge pairs; the caller picks the
-    dimension list. Always strictly positive.
-    """
-    d = len(dims)
-    if d == 0:
-        raise SchemaError("element similarity needs at least one declared dimension")
-    if len(x.values) != d or len(y.values) != d:
-        raise SchemaError(
-            f"vectors of length {len(x.values)}/{len(y.values)} against {d} dimensions"
-        )
-    total = 0.0
-    for k, dim in enumerate(dims):
-        total += exp_transform(partial_similarity(dim, x.values[k], y.values[k]), p)
-    return total / d
 
 
 class PackedAttrs:

@@ -1,67 +1,32 @@
-"""Star subgraphs and the star-pair graph kernel.
+"""The star kernel engine: per-graph indicator matrices and pair contraction.
 
 A depth-1 star is a node together with its neighbors and the center-leaf
-edges. The kernel between two stars is the similarity of their centers
-times the sum of all element-pair similarities of their decompositions,
-where node elements pair only with node elements and edge elements only
-with edge elements. The graph-level kernel sums this over all star pairs.
+edges; the depth-h star grows that ball to the h-hop neighborhood. The
+kernel between two stars is the similarity of their centers times the sum
+of all element-pair similarities, where node elements pair only with node
+elements and edge elements only with edge elements. The graph-level kernel
+sums this over all star pairs.
 
 KernelContext holds everything shared across pair evaluations for one
 schema: similarity parameters, the edge-element mode, the pruning
-threshold, and per-graph packed arrays with cached per-depth reachability
-and edge-incidence indicators. The indicator-matrix formulation computes
-the same sums as the literal star-pair loops with a fixed evaluation
-order, which keeps results identical across worker counts.
+threshold, and per-graph packed arrays with cached per-depth ball and
+edge-incidence indicators. Row v of a depth-h indicator is the depth-h
+star at v, so one pair of matrix products sums every star pair at once,
+in a fixed evaluation order that keeps results identical across worker
+counts. The literal star-by-star semantics, with set-grown neighborhoods
+and scalar similarities, live in tests/oracles.py as the reference that
+this engine is checked against.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .graph import (
-    AttributedGraph,
-    AttributeSchema,
-    ExpandedStar,
-    canonical_edge,
-    neighbors,
-    validate_vector,
-)
+from .graph import AttributedGraph, AttributeSchema, validate_vector
 from .similarity import PackedAttrs, SimilarityParams, similarity_matrix
 
 EDGE_MODES = ("auto", "on", "off")
-
-
-@dataclass(frozen=True)
-class Decomposition:
-    """Node and edge elements of one star, as consumed by the kernel."""
-
-    node_ids: tuple[int, ...]
-    edge_keys: tuple[tuple[int, int], ...] = ()
-
-
-def extract_star(g: AttributedGraph, v: int) -> ExpandedStar:
-    """Depth-1 star at v: the center, its neighbors, the center-leaf edges."""
-    nbrs = neighbors(g, v)
-    ball = tuple(sorted((v, *nbrs)))
-    edges = tuple(sorted(canonical_edge(v, u) for u in nbrs))
-    return ExpandedStar(g.graph_id, center=v, depth=1, ball_nodes=ball, edges=edges)
-
-
-def enumerate_stars(g: AttributedGraph) -> tuple[ExpandedStar, ...]:
-    """One star per node, ordered by center id ascending."""
-    return tuple(extract_star(g, v) for v in range(g.num_nodes))
-
-
-def decompose(s: ExpandedStar, has_edge_attrs: bool) -> Decomposition:
-    """All star nodes (center included); star edges only when attributed."""
-    return Decomposition(
-        node_ids=s.ball_nodes,
-        edge_keys=s.edges if has_edge_attrs else (),
-    )
 
 
 class _GraphPack:
@@ -74,8 +39,7 @@ class _GraphPack:
     """
 
     __slots__ = (
-        "graph", "n", "nodes", "adj", "inc", "edge_keys", "edge_index",
-        "edge_pack", "_balls", "_eincs", "_saturated",
+        "graph", "n", "nodes", "adj", "inc", "edge_pack", "_balls", "_eincs", "_saturated",
     )
 
     def __init__(self, g: AttributedGraph, schema: AttributeSchema, use_edges: bool):
@@ -84,12 +48,10 @@ class _GraphPack:
         self.graph = g
         self.n = g.num_nodes
         self.nodes = PackedAttrs(schema.node_dims, g.node_attrs)
-        self.edge_keys = g.edges
-        self.edge_index = {key: e for e, key in enumerate(self.edge_keys)}
-        m = len(self.edge_keys)
+        m = g.num_edges
         adj = np.zeros((self.n, self.n))
         inc = np.zeros((self.n, m))
-        for e, (u, v) in enumerate(self.edge_keys):
+        for e, (u, v) in enumerate(g.edges):
             adj[u, v] = adj[v, u] = 1.0
             inc[u, e] = inc[v, e] = 1.0
         self.adj = adj
@@ -115,18 +77,10 @@ class _GraphPack:
         edges = (ball @ self.inc) > 0
         return grown.astype(np.float64), edges.astype(np.float64)
 
-    def family(self, depth: int, cache: bool = True):
+    def family(self, depth: int):
         """Indicator matrices (ball, edge membership) for the given depth."""
         if depth < 1:
             raise ConfigError(f"family depth must be >= 1, got {depth}")
-        if not cache:
-            ball, einc = self._balls[0], self._eincs[0]
-            for _ in range(depth - 1):
-                nxt, enxt = self._step(ball)
-                if np.array_equal(nxt, ball) and np.array_equal(enxt, einc):
-                    break
-                ball, einc = nxt, enxt
-            return ball, einc
         while len(self._balls) < depth and not self._saturated:
             nxt, enxt = self._step(self._balls[-1])
             if np.array_equal(nxt, self._balls[-1]) and np.array_equal(enxt, self._eincs[-1]):
@@ -147,7 +101,6 @@ class KernelContext:
         params: SimilarityParams | None = None,
         tau: float = 0.0,
         edge_elements: str = "auto",
-        compensated: bool = False,
     ):
         if edge_elements not in EDGE_MODES:
             raise ConfigError(f"edge_elements must be one of {EDGE_MODES}, got {edge_elements!r}")
@@ -162,9 +115,7 @@ class KernelContext:
         self.use_edges = edge_elements == "on" or (
             edge_elements == "auto" and schema.has_edge_attrs
         )
-        self.compensated = compensated
         self._packs: dict[int, _GraphPack] = {}
-        self._pair_cache: dict[tuple[int, int], tuple] = {}
 
     def register(self, g: AttributedGraph) -> _GraphPack:
         """Pack a graph for kernel evaluation; idempotent per graph_id."""
@@ -179,87 +130,26 @@ class KernelContext:
         self._packs[g.graph_id] = pack
         return pack
 
-    def _pack_for(self, graph_id: int) -> _GraphPack:
-        pack = self._packs.get(graph_id)
-        if pack is None:
-            raise ConfigError(f"graph {graph_id} is not registered in this context")
-        return pack
-
-    def _pair_mats(self, pa: _GraphPack, pb: _GraphPack):
-        key = (pa.graph.graph_id, pb.graph.graph_id)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
+    def pair_value(self, ga: AttributedGraph, gb: AttributedGraph, max_depth: int) -> float:
+        """Sum of star-pair kernel values over depths 1..min(H, |Va|, |Vb|)."""
+        pa, pb = self.register(ga), self.register(gb)
         p_nodes = similarity_matrix(pa.nodes, pb.nodes, self.params)
         p_edges = None
         if self.use_edges:
             p_edges = similarity_matrix(pa.edge_pack, pb.edge_pack, self.params)
-        if len(self._pair_cache) >= 8:
-            self._pair_cache.clear()
-        self._pair_cache[key] = (p_nodes, p_edges)
-        return p_nodes, p_edges
-
-    def node_similarity(self, ga: AttributedGraph, gb: AttributedGraph) -> np.ndarray:
-        """All-pairs node similarity matrix between two graphs."""
-        return self._pair_mats(self.register(ga), self.register(gb))[0]
-
-    def pair_value(
-        self,
-        ga: AttributedGraph,
-        gb: AttributedGraph,
-        max_depth: int,
-        cache_families: bool = True,
-    ) -> float:
-        """Sum of star-pair kernel values over depths 1..min(H, |Va|, |Vb|)."""
-        pa, pb = self.register(ga), self.register(gb)
-        p_nodes, p_edges = self._pair_mats(pa, pb)
         if self.tau > 0.0:
             weights = np.where(p_nodes >= self.tau, p_nodes, 0.0)
         else:
             weights = p_nodes
-        depth_cap = min(max_depth, pa.n, pb.n)
-        terms = []
-        for h in range(1, depth_cap + 1):
-            ball_a, einc_a = pa.family(h, cache_families)
-            ball_b, einc_b = pb.family(h, cache_families)
+        total = 0.0
+        for h in range(1, min(max_depth, pa.n, pb.n) + 1):
+            ball_a, einc_a = pa.family(h)
+            ball_b, einc_b = pb.family(h)
             m = ball_a @ p_nodes @ ball_b.T
             if p_edges is not None and p_edges.size:
                 m = m + einc_a @ p_edges @ einc_b.T
-            if self.compensated:
-                terms.append(math.fsum((weights * m).ravel().tolist()))
-            else:
-                terms.append(float((weights * m).sum()))
-        if self.compensated:
-            return math.fsum(terms)
-        total = 0.0
-        for term in terms:
-            total += term
+            total += float((weights * m).sum())
         return total
-
-
-def star_pair_kernel_ks(s: ExpandedStar, t: ExpandedStar, ctx: KernelContext) -> float:
-    """Kernel between two stars: center similarity times element-pair sum.
-
-    Both parent graphs must already be registered in the context. Returns
-    exactly 0 when the center similarity falls below the pruning threshold.
-    """
-    pa = ctx._pack_for(s.graph_id)
-    pb = ctx._pack_for(t.graph_id)
-    p_nodes, p_edges = ctx._pair_mats(pa, pb)
-    weight = float(p_nodes[s.center, t.center])
-    if ctx.tau > 0.0 and weight < ctx.tau:
-        return 0.0
-    dec_s = decompose(s, ctx.use_edges)
-    dec_t = decompose(t, ctx.use_edges)
-    total = float(p_nodes[np.ix_(dec_s.node_ids, dec_t.node_ids)].sum())
-    if ctx.use_edges and dec_s.edge_keys and dec_t.edge_keys:
-        try:
-            rows = [pa.edge_index[key] for key in dec_s.edge_keys]
-            cols = [pb.edge_index[key] for key in dec_t.edge_keys]
-        except KeyError as exc:
-            raise SchemaError(f"star edge {exc.args[0]} not present in its graph") from exc
-        total += float(p_edges[np.ix_(rows, cols)].sum())
-    return weight * total
 
 
 def graph_kernel_KS(g: AttributedGraph, h: AttributedGraph, ctx: KernelContext) -> float:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from nask.graph import (
@@ -68,6 +69,17 @@ def graph_with(graph_id, n, edges, node_values, edge_values=None, label=0):
         node_attrs=tuple(AttributeVector(tuple(vals)) for vals in node_values),
         edge_attrs=edge_attrs,
         label=label,
+    )
+
+
+def star_rows(pack, depth, v):
+    """(ball nodes, edge keys) of the depth-h star at v, read off the row v
+    of a registered pack's family indicators."""
+    ball, einc = pack.family(depth)
+    edges = pack.graph.edges
+    return (
+        tuple(np.flatnonzero(ball[v]).tolist()),
+        tuple(edges[e] for e in np.flatnonzero(einc[v])),
     )
 
 

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 
 from nask.errors import ConfigError
-from nask.expansion import ExpansionPlan, expand_star, expanded_family, nask_kernel
-from nask.graph import AttributeSchema
+from nask.expansion import ExpansionPlan, nask_kernel
 from nask.similarity import SimilarityParams
-from nask.stars import KernelContext, extract_star, graph_kernel_KS
+from nask.stars import KernelContext, graph_kernel_KS
 
 import oracles
 import synth
-from conftest import graph_with
+from conftest import graph_with, star_rows
 from oracles import OracleParams
 
 # identical 2-node single-edge pair: the depth-2 family equals the depth-1
@@ -22,76 +21,49 @@ SINGLE_EDGE_PAIR_H2 = 32.0
 
 
 class TestExpandStar:
+    """Row v of the depth-h indicators is the depth-h star at v."""
+
     def test_path_expansion_step(self, cat_schema):
         g = graph_with(0, 5, [(0, 1), (1, 2), (2, 3), (3, 4)], [(0,)] * 5)
-        s = extract_star(g, 0)
-        assert s.ball_nodes == (0, 1)
-        s2 = expand_star(s, g)
-        assert s2.depth == 2
-        assert s2.ball_nodes == (0, 1, 2)
-        assert s2.edges == ((0, 1), (1, 2))
-        s3 = expand_star(s2, g)
-        assert s3.ball_nodes == (0, 1, 2, 3)
-        assert s3.edges == ((0, 1), (1, 2), (2, 3))
+        pack = KernelContext(cat_schema).register(g)
+        assert star_rows(pack, 1, 0) == ((0, 1), ((0, 1),))
+        assert star_rows(pack, 2, 0) == ((0, 1, 2), ((0, 1), (1, 2)))
+        assert star_rows(pack, 3, 0) == ((0, 1, 2, 3), ((0, 1), (1, 2), (2, 3)))
 
-    def test_expansion_adds_leaf_leaf_edges_inside_ball(self, cat_schema):
-        _, g = (None, graph_with(0, 3, [(0, 1), (1, 2), (0, 2)], [(0,)] * 3))
-        s = extract_star(g, 0)
-        assert s.edges == ((0, 1), (0, 2))
-        s2 = expand_star(s, g)
+    def test_expansion_adds_leaf_leaf_edges_inside_ball(self, triangle):
+        schema, g = triangle
+        pack = KernelContext(schema).register(g)
+        assert star_rows(pack, 1, 0) == ((0, 1, 2), ((0, 1), (0, 2)))
         # the leaf-leaf edge (1,2) has an endpoint in the old ball
-        assert s2.edges == ((0, 1), (0, 2), (1, 2))
-        assert s2.ball_nodes == (0, 1, 2)
+        assert star_rows(pack, 2, 0) == ((0, 1, 2), ((0, 1), (0, 2), (1, 2)))
 
     def test_expansion_saturates(self, cat_schema):
         g = graph_with(0, 3, [(0, 1), (1, 2)], [(0,)] * 3)
-        s = expand_star(expand_star(extract_star(g, 0), g), g)
-        s_again = expand_star(s, g)
-        assert s_again.ball_nodes == s.ball_nodes
-        assert s_again.edges == s.edges
-        assert s_again.depth == s.depth + 1  # depth keeps counting
+        pack = KernelContext(cat_schema).register(g)
+        ball3, einc3 = pack.family(3)
+        ball5, einc5 = pack.family(5)
+        assert np.array_equal(ball5, ball3)
+        assert np.array_equal(einc5, einc3)
 
-    def test_graph_mismatch_rejected(self, cat_schema):
-        g0 = graph_with(0, 2, [(0, 1)], [(0,)] * 2)
-        g1 = graph_with(1, 2, [(0, 1)], [(0,)] * 2)
-        with pytest.raises(ConfigError):
-            expand_star(extract_star(g0, 0), g1)
-
-    def test_expanded_family_depths(self, cat_schema):
+    def test_family_depths(self, cat_schema):
         g = graph_with(0, 4, [(0, 1), (1, 2), (2, 3)], [(0,)] * 4)
-        fam = expanded_family(g, 3)
-        assert all(s.depth == 3 for s in fam)
-        assert [s.center for s in fam] == [0, 1, 2, 3]
+        pack = KernelContext(cat_schema).register(g)
+        for v, ball, edges in oracles.ref_family(g, 3):
+            assert star_rows(pack, 3, v) == (tuple(sorted(ball)), tuple(sorted(edges)))
         with pytest.raises(ConfigError):
-            expanded_family(g, 0)
+            pack.family(0)
 
 
 class TestMatrixFamilyAgreement:
     def test_indicators_match_object_families(self, full_schema):
+        # the oracle grows each star as a Python set, one hop at a time
         rng = np.random.default_rng(21)
         for trial in range(6):
             g = synth.random_graph(rng, full_schema, graph_id=trial, min_nodes=2, max_nodes=12)
-            ctx = KernelContext(full_schema)
-            pack = ctx.register(g)
+            pack = KernelContext(full_schema).register(g)
             for depth in range(1, 5):
-                fam = expanded_family(g, depth)
-                ball, einc = pack.family(depth)
-                for s in fam:
-                    from_matrix = set(np.flatnonzero(ball[s.center]).tolist())
-                    assert from_matrix == set(s.ball_nodes)
-                    edge_ids = np.flatnonzero(einc[s.center]).tolist()
-                    assert {pack.edge_keys[e] for e in edge_ids} == set(s.edges)
-
-    def test_uncached_replay_equals_cached(self, mixed_node_schema):
-        rng = np.random.default_rng(22)
-        g = synth.random_graph(rng, mixed_node_schema, graph_id=0, min_nodes=5, max_nodes=12)
-        ctx = KernelContext(mixed_node_schema)
-        pack = ctx.register(g)
-        for depth in (1, 2, 3, 4):
-            cached_ball, cached_einc = pack.family(depth, cache=True)
-            replay_ball, replay_einc = pack.family(depth, cache=False)
-            assert np.array_equal(cached_ball, replay_ball)
-            assert np.array_equal(cached_einc, replay_einc)
+                for v, ball, edges in oracles.ref_family(g, depth):
+                    assert star_rows(pack, depth, v) == (tuple(sorted(ball)), tuple(sorted(edges)))
 
 
 class TestNaskKernel:
@@ -154,18 +126,6 @@ class TestNaskKernel:
         at_two = nask_kernel(g0, g1, ExpansionPlan(max_depth=2), ctx)
         at_five = nask_kernel(g0, g1, ExpansionPlan(max_depth=5), ctx)
         assert at_two == at_five
-
-    def test_uncached_plan_matches_cached(self, full_schema):
-        rng = np.random.default_rng(26)
-        ga = synth.random_graph(rng, full_schema, graph_id=0, min_nodes=4, max_nodes=12)
-        gb = synth.random_graph(rng, full_schema, graph_id=1, min_nodes=4, max_nodes=12)
-        cached = nask_kernel(
-            ga, gb, ExpansionPlan(max_depth=3, cache_families=True), KernelContext(full_schema)
-        )
-        uncached = nask_kernel(
-            ga, gb, ExpansionPlan(max_depth=3, cache_families=False), KernelContext(full_schema)
-        )
-        assert cached == uncached
 
     def test_permutation_invariance(self, full_schema):
         from nask.graph import permute_graph

@@ -1,8 +1,14 @@
 """Gram computation, normalization, PSD verdicts, and the file format."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from nask.datasets import compute_ranges
 from nask.errors import (
     ConfigError,
     DatasetError,
@@ -27,6 +33,17 @@ import synth
 
 # eigenvalues of [[1, 1.5], [1.5, 1]] are 1 +/- 1.5
 INDEFINITE = np.array([[1.0, 1.5], [1.5, 1.0]])
+
+# run in a fresh interpreter, so the BLAS thread count comes from the environment;
+# argv holds the directories to import nask and synth from
+BENCH2_DIGEST = """
+import hashlib, sys
+sys.path[:0] = sys.argv[1:]
+import nask, synth
+ds = nask.compute_ranges(synth.benchmark_dataset())
+gram = nask.compute_gram(ds, plan=nask.ExpansionPlan(max_depth=4), threads=1)
+print(hashlib.sha256(gram.values.tobytes()).hexdigest())
+"""
 
 
 def small_dataset(seed=31, count=12, name="gramtest"):
@@ -82,6 +99,19 @@ class TestComputeGram:
         four = compute_gram(ds, threads=4)
         assert one.values.tobytes() == four.values.tobytes()
 
+    def test_blas_thread_count_does_not_change_bytes(self):
+        tests = Path(__file__).resolve().parent
+        digests = {}
+        for count in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count)
+            run = subprocess.run(
+                [sys.executable, "-c", BENCH2_DIGEST, str(tests.parent / "src"), str(tests)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            digests[count] = run.stdout.strip()
+        assert len(digests["1"]) == 64
+        assert digests["1"] == digests["2"]
+
     def test_recompute_is_bit_identical(self):
         ds = small_dataset(seed=33, count=8)
         a = compute_gram(ds, SimilarityParams(gamma=2.0), ExpansionPlan(max_depth=4))
@@ -101,11 +131,16 @@ class TestComputeGram:
         pruned = compute_gram(ds, tau=0.5)
         assert np.all(pruned.values <= base.values + 1e-12)
 
-    def test_compensated_summation_agrees(self):
-        ds = small_dataset(seed=36, count=6)
-        standard = compute_gram(ds, plan=ExpansionPlan(max_depth=3))
-        careful = compute_gram(ds, plan=ExpansionPlan(max_depth=3), compensated=True)
-        assert np.allclose(standard.values, careful.values, rtol=1e-12, atol=0)
+    def test_tau_pruning_can_make_the_gram_indefinite(self):
+        # thresholding the center weights is not a PSD-preserving operation
+        schema = synth.mixed_schema(n_cat=1, n_num=2)
+        graphs = synth.random_graph_set(1, 80, schema)
+        ds = compute_ranges(synth.dataset_from_graphs(graphs, schema=schema))
+        params, plan = SimilarityParams(gamma=10.0), ExpansionPlan(max_depth=2)
+        assert check_psd(compute_gram(ds, params, plan)).psd
+        pruned = check_psd(compute_gram(ds, params, plan, tau=0.5))
+        assert not pruned.psd
+        assert pruned.min_eig < -1e-3 * pruned.max_eig
 
     def test_small_gram_is_psd(self):
         ds = small_dataset(seed=37, count=10)

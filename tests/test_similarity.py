@@ -1,4 +1,5 @@
-"""Per-dimension similarity, the exponential transform, and packed paths."""
+"""Per-dimension similarity and the exponential transform, through the
+packed all-pairs path, against frozen constants and the scalar oracle."""
 
 import math
 
@@ -7,17 +8,12 @@ import pytest
 
 from nask.errors import ConfigError, SchemaError
 from nask.graph import AttributeVector, DimensionSpec
-from nask.similarity import (
-    PackedAttrs,
-    SimilarityParams,
-    element_similarity_P,
-    exp_transform,
-    partial_similarity,
-    similarity_matrix,
-)
+from nask.similarity import PackedAttrs, SimilarityParams, similarity_matrix
+from nask.stars import KernelContext
 
 import oracles
 import synth
+from conftest import graph_with
 
 # frozen transform values, derived by hand from exp(-gamma * (1 - s))
 EXP_MINUS_1 = 0.36787944117144233  # s=0, gamma=1
@@ -27,6 +23,18 @@ MIXED_TWO_DIM = 0.8032653298563167  # (exp(0) + exp(-0.5)) / 2, gamma=1
 CAT = DimensionSpec("c", "categorical", categories=(10, 20, 30))
 NUM = DimensionSpec("x", "numerical", range_min=0.0, range_max=10.0)
 ZERO = DimensionSpec("z", "numerical", range_min=5.0, range_max=5.0)
+
+
+def sim(dims, xs, ys, gamma=1.0) -> np.ndarray:
+    """similarity_matrix over plain value tuples."""
+    a = PackedAttrs(dims, [AttributeVector(tuple(r)) for r in xs])
+    b = PackedAttrs(dims, [AttributeVector(tuple(r)) for r in ys])
+    return similarity_matrix(a, b, SimilarityParams(gamma=gamma))
+
+
+def one(dim, a, b, gamma=1.0) -> float:
+    """The 1x1 similarity of two values in a single dimension."""
+    return float(sim((dim,), [(a,)], [(b,)], gamma)[0, 0])
 
 
 class TestParams:
@@ -41,93 +49,84 @@ class TestParams:
 
 class TestPartialSimilarity:
     def test_categorical_is_equality_indicator(self):
-        assert partial_similarity(CAT, 1, 1) == 1.0
-        assert partial_similarity(CAT, 1, 2) == 0.0
+        assert one(CAT, 1, 1) == 1.0
+        assert one(CAT, 1, 2) == pytest.approx(EXP_MINUS_1, rel=1e-15)
 
-    def test_categorical_requires_symbol_ids(self):
-        with pytest.raises(SchemaError):
-            partial_similarity(CAT, 0.5, 1)
+    def test_categorical_requires_symbol_ids(self, cat_schema):
+        # the packed path casts without looking; registration checks the values
+        g = graph_with(0, 2, [(0, 1)], [(0.5,), (0,)])
+        with pytest.raises(SchemaError, match="symbol id"):
+            KernelContext(cat_schema).register(g)
 
     def test_numerical_scaled_distance(self):
-        assert partial_similarity(NUM, 3.0, 7.0) == pytest.approx(0.6, abs=0)
-        assert partial_similarity(NUM, 2.0, 2.0) == 1.0
+        # 3 vs 7 on range 10: s = 0.6
+        assert one(NUM, 3.0, 7.0) == pytest.approx(math.exp(-0.4), rel=1e-15)
+        assert one(NUM, 2.0, 2.0) == 1.0
 
     def test_numerical_clamps_to_zero_beyond_range(self):
         # values outside the stored range can differ by more than the width
-        assert partial_similarity(NUM, 0.0, 25.0) == 0.0
+        assert one(NUM, 0.0, 25.0) == pytest.approx(EXP_MINUS_1, rel=1e-15)
 
     def test_zero_width_range_is_equality_indicator(self):
-        assert partial_similarity(ZERO, 5.0, 5.0) == 1.0
-        assert partial_similarity(ZERO, 5.0, 5.1) == 0.0
+        assert one(ZERO, 5.0, 5.0) == 1.0
+        assert one(ZERO, 5.0, 5.1) == pytest.approx(EXP_MINUS_1, rel=1e-15)
 
     def test_missing_range_is_an_error(self):
         bare = DimensionSpec("x", "numerical")
         with pytest.raises(SchemaError):
-            partial_similarity(bare, 1.0, 2.0)
+            PackedAttrs((bare,), [AttributeVector((1.0,))])
 
 
 class TestExpTransform:
     def test_identity_at_full_similarity(self):
-        assert exp_transform(1.0, SimilarityParams(gamma=1.0)) == 1.0
+        assert one(NUM, 4.0, 4.0, gamma=7.0) == 1.0
 
     def test_frozen_values(self):
-        assert exp_transform(0.0, SimilarityParams(gamma=1.0)) == pytest.approx(
-            EXP_MINUS_1, rel=1e-15
-        )
-        assert exp_transform(0.0, SimilarityParams(gamma=0.1)) == pytest.approx(
-            EXP_MINUS_01, rel=1e-15
-        )
-
-    def test_domain_checked(self):
-        with pytest.raises(SchemaError):
-            exp_transform(1.2, SimilarityParams())
-        with pytest.raises(SchemaError):
-            exp_transform(-0.1, SimilarityParams())
+        assert one(CAT, 0, 1, gamma=1.0) == pytest.approx(EXP_MINUS_1, rel=1e-15)
+        assert one(CAT, 0, 1, gamma=0.1) == pytest.approx(EXP_MINUS_01, rel=1e-15)
 
     def test_monotone_in_similarity(self):
-        p = SimilarityParams(gamma=2.0)
-        values = [exp_transform(s, p) for s in (0.0, 0.25, 0.5, 0.75, 1.0)]
-        assert values == sorted(values)
+        # s = 0, 0.25, 0.5, 0.75, 1 against the value 0 on range 10
+        row = sim((NUM,), [(0.0,)], [(10.0,), (7.5,), (5.0,), (2.5,), (0.0,)], gamma=2.0)[0]
+        assert list(row) == sorted(row)
+        assert row[0] == pytest.approx(math.exp(-2.0), rel=1e-15)
 
 
 class TestElementSimilarity:
     def test_frozen_two_dim_value(self):
-        dims = (CAT, NUM)
-        x = AttributeVector((1, 2.0))
-        y = AttributeVector((1, 7.0))  # cat match (s=1), num s=0.5
-        p = SimilarityParams(gamma=1.0)
-        assert element_similarity_P(dims, x, y, p) == pytest.approx(MIXED_TWO_DIM, rel=1e-15)
+        # cat match (s=1), num s=0.5
+        value = sim((CAT, NUM), [(1, 2.0)], [(1, 7.0)], gamma=1.0)[0, 0]
+        assert value == pytest.approx(MIXED_TWO_DIM, rel=1e-15)
 
     def test_matches_independent_reference(self):
         rng = np.random.default_rng(0)
         dims = synth.mixed_schema(n_cat=2, n_num=3).node_dims
-        p = SimilarityParams(gamma=0.7)
-        for _ in range(50):
-            x = synth.random_vector(rng, dims)
-            y = synth.random_vector(rng, dims)
-            assert element_similarity_P(dims, x, y, p) == pytest.approx(
-                oracles.ref_element_P(dims, x, y, 0.7), rel=1e-14
-            )
+        xs = [synth.random_vector(rng, dims) for _ in range(12)]
+        ys = [synth.random_vector(rng, dims) for _ in range(9)]
+        mat = similarity_matrix(
+            PackedAttrs(dims, xs), PackedAttrs(dims, ys), SimilarityParams(gamma=0.7)
+        )
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert mat[i, j] == pytest.approx(oracles.ref_element_P(dims, x, y, 0.7), rel=1e-14)
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(1)
         dims = synth.mixed_schema(n_cat=1, n_num=2).node_dims
+        a = PackedAttrs(dims, [synth.random_vector(rng, dims) for _ in range(30)])
+        b = PackedAttrs(dims, [synth.random_vector(rng, dims) for _ in range(20)])
         p = SimilarityParams(gamma=3.0)
-        floor = math.exp(-3.0)
-        for _ in range(30):
-            x = synth.random_vector(rng, dims)
-            y = synth.random_vector(rng, dims)
-            forward = element_similarity_P(dims, x, y, p)
-            assert forward == element_similarity_P(dims, y, x, p)
-            assert floor - 1e-15 <= forward <= 1.0
+        forward = similarity_matrix(a, b, p)
+        assert np.array_equal(forward, similarity_matrix(b, a, p).T)
+        assert np.all(forward >= math.exp(-3.0) - 1e-15)
+        assert np.all(forward <= 1.0)
 
-    def test_needs_dimensions_and_matching_lengths(self):
+    def test_needs_dimensions_and_matching_lengths(self, mixed_node_schema):
         with pytest.raises(SchemaError):
-            element_similarity_P((), AttributeVector(()), AttributeVector(()), SimilarityParams())
-        with pytest.raises(SchemaError):
-            element_similarity_P(
-                (CAT,), AttributeVector((1, 2)), AttributeVector((1,)), SimilarityParams()
-            )
+            sim((), [()], [()])
+        g = graph_with(0, 2, [(0, 1)], [(0, 0.5), (0,)])
+        with pytest.raises(SchemaError, match="1 values, schema declares 2"):
+            KernelContext(mixed_node_schema).register(g)
 
 
 class TestPackedPath:
@@ -149,7 +148,7 @@ class TestPackedPath:
         for i, x in enumerate(vec_a):
             for j, y in enumerate(vec_b):
                 assert mat[i, j] == pytest.approx(
-                    element_similarity_P(dims, x, y, p), rel=1e-12
+                    oracles.ref_element_P(dims, x, y, 1.3), rel=1e-12
                 )
 
     def test_empty_side_yields_zero_shape(self):

@@ -1,4 +1,4 @@
-"""Star extraction and the depth-1 star-pair kernel against loop oracles."""
+"""Depth-1 star indicators and the star kernel against loop oracles."""
 
 import itertools
 
@@ -6,20 +6,12 @@ import numpy as np
 import pytest
 
 from nask.errors import ConfigError, SchemaError
-from nask.graph import AttributeSchema
 from nask.similarity import SimilarityParams
-from nask.stars import (
-    KernelContext,
-    decompose,
-    enumerate_stars,
-    extract_star,
-    graph_kernel_KS,
-    star_pair_kernel_ks,
-)
+from nask.stars import KernelContext, graph_kernel_KS
 
 import oracles
 import synth
-from conftest import graph_with
+from conftest import graph_with, star_rows
 from oracles import OracleParams
 
 # one pair of identical single-edge graphs with matching categorical
@@ -28,44 +20,41 @@ SINGLE_EDGE_PAIR_KS = 16.0
 
 
 class TestExtraction:
+    """Row v of the depth-1 indicators is the star at v."""
+
     def test_triangle_star_excludes_leaf_leaf_edge(self, triangle):
-        _, g = triangle
-        s = extract_star(g, 0)
-        assert s.ball_nodes == (0, 1, 2)
-        assert s.edges == ((0, 1), (0, 2))  # edge (1, 2) is not part of the star
-        assert s.depth == 1
+        schema, g = triangle
+        pack = KernelContext(schema).register(g)
+        # edge (1, 2) is not part of the star
+        assert star_rows(pack, 1, 0) == ((0, 1, 2), ((0, 1), (0, 2)))
 
     def test_star_of_leaf(self, star_k13):
-        _, g = star_k13
-        s = extract_star(g, 2)
-        assert s.ball_nodes == (0, 2)
-        assert s.edges == ((0, 2),)
+        schema, g = star_k13
+        pack = KernelContext(schema).register(g)
+        assert star_rows(pack, 1, 2) == ((0, 2), ((0, 2),))
 
     def test_star_of_hub(self, star_k13):
-        _, g = star_k13
-        s = extract_star(g, 0)
-        assert s.ball_nodes == (0, 1, 2, 3)
-        assert s.edges == ((0, 1), (0, 2), (0, 3))
+        schema, g = star_k13
+        pack = KernelContext(schema).register(g)
+        assert star_rows(pack, 1, 0) == ((0, 1, 2, 3), ((0, 1), (0, 2), (0, 3)))
 
     def test_isolated_node_star(self, cat_schema):
         g = graph_with(0, 2, [], [(0,), (1,)])
-        s = extract_star(g, 0)
-        assert s.ball_nodes == (0,)
-        assert s.edges == ()
+        pack = KernelContext(cat_schema).register(g)
+        assert star_rows(pack, 1, 0) == ((0,), ())
 
-    def test_enumerate_stars_in_center_order(self, triangle):
-        _, g = triangle
-        stars = enumerate_stars(g)
-        assert [s.center for s in stars] == [0, 1, 2]
+    def test_rows_are_the_stars_in_center_order(self, triangle):
+        schema, g = triangle
+        pack = KernelContext(schema).register(g)
+        for v in range(g.num_nodes):
+            ball, edges = oracles.ref_star(g, v)
+            assert star_rows(pack, 1, v) == (tuple(sorted(ball)), tuple(sorted(edges)))
 
-    def test_decompose_drops_edges_without_edge_attrs(self, star_k13):
-        _, g = star_k13
-        s = extract_star(g, 0)
-        with_edges = decompose(s, has_edge_attrs=True)
-        without = decompose(s, has_edge_attrs=False)
-        assert with_edges.node_ids == (0, 1, 2, 3)
-        assert with_edges.edge_keys == ((0, 1), (0, 2), (0, 3))
-        assert without.edge_keys == ()
+    def test_edge_elements_follow_the_mode(self, full_schema):
+        edges = {(0, 1): (0, 0.5), (0, 2): (1, 0.5), (0, 3): (2, 0.5)}
+        g = graph_with(0, 4, list(edges), [(0, 0.5)] * 4, edges)
+        assert KernelContext(full_schema, edge_elements="on").register(g).edge_pack.count == 3
+        assert KernelContext(full_schema, edge_elements="off").register(g).edge_pack is None
 
 
 class TestContextValidation:
@@ -89,13 +78,6 @@ class TestContextValidation:
         with pytest.raises(ConfigError):
             ctx.register(graph_with(0, 2, [(0, 1)], [(0,), (1,)]))
 
-    def test_star_pair_needs_registered_graphs(self, single_edge_pair):
-        schema, g0, g1 = single_edge_pair
-        ctx = KernelContext(schema)
-        s0, s1 = extract_star(g0, 0), extract_star(g1, 0)
-        with pytest.raises(ConfigError):
-            star_pair_kernel_ks(s0, s1, ctx)
-
     def test_missing_edge_attrs_with_edges_on(self):
         schema = synth.mixed_schema(n_cat=1, edge_cat=1)
         g = graph_with(0, 2, [(0, 1)], [(0, ), (0, )])  # no edge attributes
@@ -104,27 +86,28 @@ class TestContextValidation:
             ctx.register(g)
 
 
+class TestRegisterValidation:
+    """Attribute vectors are checked once, when a graph is registered. The
+    float-in-categorical and wrong-length cases sit in test_similarity.py,
+    beside the similarity semantics they protect."""
+
+    def test_bool_in_numerical_dimension(self, mixed_node_schema):
+        g = graph_with(0, 2, [(0, 1)], [(0, True), (0, 0.5)])
+        with pytest.raises(SchemaError, match="real value"):
+            KernelContext(mixed_node_schema).register(g)
+
+    @pytest.mark.parametrize("bad", [(0,), (0.5, 0.5), (0, "x")])
+    def test_malformed_edge_vector_with_edges_on(self, full_schema, bad):
+        g = graph_with(0, 3, [(0, 1), (1, 2)], [(0, 0.5)] * 3, {(0, 1): (0, 0.5), (1, 2): bad})
+        with pytest.raises(SchemaError, match="edge 1"):
+            KernelContext(full_schema, edge_elements="on").register(g)
+
+
 class TestStarPairKernel:
     def test_single_edge_pair_value(self, single_edge_pair):
         schema, g0, g1 = single_edge_pair
         ctx = KernelContext(schema, SimilarityParams(gamma=1.0))
         assert graph_kernel_KS(g0, g1, ctx) == SINGLE_EDGE_PAIR_KS
-
-    def test_star_pair_matches_oracle(self, full_schema):
-        rng = np.random.default_rng(11)
-        ga = synth.random_graph(rng, full_schema, graph_id=0, min_nodes=3, max_nodes=8)
-        gb = synth.random_graph(rng, full_schema, graph_id=1, min_nodes=3, max_nodes=8)
-        params = OracleParams(full_schema, gamma=1.0)
-        pn = oracles._node_table(ga, gb, params)
-        pe = oracles._edge_table(ga, gb, params)
-        ctx = KernelContext(full_schema, SimilarityParams(gamma=1.0))
-        ctx.register(ga)
-        ctx.register(gb)
-        for sa, sb in itertools.product(enumerate_stars(ga), enumerate_stars(gb)):
-            fam_a = [(sa.center, set(sa.ball_nodes), set(sa.edges))]
-            fam_b = [(sb.center, set(sb.ball_nodes), set(sb.edges))]
-            expected = oracles._family_pair_sum(ga, gb, fam_a, fam_b, pn, pe, params)
-            assert star_pair_kernel_ks(sa, sb, ctx) == pytest.approx(expected, rel=1e-12)
 
     def test_graph_kernel_matches_oracle_without_edge_attrs(self, mixed_node_schema):
         rng = np.random.default_rng(12)
