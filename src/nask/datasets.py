@@ -25,6 +25,7 @@ from .graph import (
     AttributeVector,
     DimensionSpec,
     canonical_edge,
+    validate_vector,
 )
 
 _FILE_SUFFIXES = (
@@ -36,6 +37,7 @@ _FILE_SUFFIXES = (
     "edge_labels",
     "edge_attributes",
 )
+_MANDATORY_SUFFIXES = _FILE_SUFFIXES[:3]
 
 
 @dataclass(frozen=True)
@@ -92,46 +94,25 @@ def _read_lines(path: Path) -> list[str]:
     return lines
 
 
-def _split_fields(line: str) -> list[str]:
-    # TU files separate fields with commas, sometimes with stray spaces
-    return [f for f in (piece.strip() for piece in line.replace(",", " ").split()) if f]
+def _parse_rows(path: Path, convert, width: int | None = None) -> list[list]:
+    """Parse a TU column file with `convert` (int or float) on every field.
 
-
-def _parse_int_rows(path: Path, expect_width: int | None = None) -> list[list[int]]:
+    Every row must have `width` fields, or as many as the first row; float
+    values must be finite.
+    """
     rows = []
-    width = expect_width
     for lineno, line in enumerate(_read_lines(path), start=1):
-        fields = _split_fields(line)
+        # TU files separate fields with commas, sometimes with stray spaces
+        fields = line.replace(",", " ").split()
         if not fields:
             raise DatasetError(f"{path.name}:{lineno}: blank line")
         try:
-            row = [int(f) for f in fields]
+            row = list(map(convert, fields))
         except ValueError as exc:
-            raise DatasetError(f"{path.name}:{lineno}: non-integer token") from exc
-        if width is None:
-            width = len(row)
-        if len(row) != width:
-            raise DatasetError(
-                f"{path.name}:{lineno}: expected {width} fields, got {len(row)}"
-            )
-        rows.append(row)
-    return rows
-
-
-def _parse_float_rows(path: Path) -> list[list[float]]:
-    rows = []
-    width = None
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        fields = _split_fields(line)
-        if not fields:
-            raise DatasetError(f"{path.name}:{lineno}: blank line")
-        try:
-            row = [float(f) for f in fields]
-        except ValueError as exc:
-            raise DatasetError(f"{path.name}:{lineno}: non-numeric token") from exc
-        for value in row:
-            if not math.isfinite(value):
-                raise DatasetError(f"{path.name}:{lineno}: non-finite attribute value")
+            kind = "integer" if convert is int else "numeric"
+            raise DatasetError(f"{path.name}:{lineno}: non-{kind} token") from exc
+        if convert is float and not all(map(math.isfinite, row)):
+            raise DatasetError(f"{path.name}:{lineno}: non-finite attribute value")
         if width is None:
             width = len(row)
         if len(row) != width:
@@ -160,6 +141,32 @@ def _intern_columns(rows: list[list[int]], prefix: str) -> tuple[list[DimensionS
     return dims, id_rows
 
 
+def _read_side(path_for, side: str, count: int, unit: str):
+    """Read the optional `{side}_labels` and `{side}_attributes` files.
+
+    Label columns become interned categorical dimensions, listed first;
+    attribute columns become numerical ones. Returns the side's dimensions
+    and one AttributeVector per row (none when neither file exists).
+    """
+    dims, parts = [], []
+    for suffix, convert in (("labels", int), ("attributes", float)):
+        path = path_for(f"{side}_{suffix}")
+        if not path.is_file():
+            continue
+        rows = _parse_rows(path, convert)
+        if len(rows) != count:
+            raise DatasetError(f"{path.name}: {len(rows)} rows for {count} {unit}")
+        if convert is int:
+            new_dims, rows = _intern_columns(rows, f"{side}_label_")
+        else:
+            width = len(rows[0]) if rows else 0
+            new_dims = [DimensionSpec(f"{side}_attr_{c}", NUMERICAL) for c in range(width)]
+        dims += new_dims
+        parts.append(rows)
+    vectors = [AttributeVector(tuple(sum(row, []))) for row in zip(*parts)]
+    return tuple(dims), vectors
+
+
 def load_tu_dataset(directory, name: str | None = None) -> Dataset:
     """Parse one TU-format dataset directory into a Dataset.
 
@@ -176,11 +183,11 @@ def load_tu_dataset(directory, name: str | None = None) -> Dataset:
     def path_for(suffix: str) -> Path:
         return directory / f"{name}_{suffix}.txt"
 
-    for suffix in ("A", "graph_indicator", "graph_labels"):
+    for suffix in _MANDATORY_SUFFIXES:
         if not path_for(suffix).is_file():
             raise DatasetError(f"missing mandatory file {path_for(suffix).name}")
 
-    indicator = [row[0] for row in _parse_int_rows(path_for("graph_indicator"), 1)]
+    indicator = [row[0] for row in _parse_rows(path_for("graph_indicator"), int, 1)]
     num_nodes_total = len(indicator)
     if num_nodes_total == 0:
         raise DatasetError("graph indicator file declares no nodes")
@@ -199,7 +206,7 @@ def load_tu_dataset(directory, name: str | None = None) -> Dataset:
         if size == 0:
             raise DatasetError(f"graph {gidx + 1} has no nodes")
 
-    raw_labels = [row[0] for row in _parse_int_rows(path_for("graph_labels"), 1)]
+    raw_labels = [row[0] for row in _parse_rows(path_for("graph_labels"), int, 1)]
     if len(raw_labels) != num_graphs:
         raise DatasetError(
             f"{len(raw_labels)} graph labels for {num_graphs} graphs"
@@ -208,77 +215,15 @@ def load_tu_dataset(directory, name: str | None = None) -> Dataset:
     remap = {value: i for i, value in enumerate(class_values)}
     labels = tuple(remap[value] for value in raw_labels)
 
-    node_label_rows = []
-    node_attr_rows = []
-    if path_for("node_labels").is_file():
-        node_label_rows = _parse_int_rows(path_for("node_labels"))
-        if len(node_label_rows) != num_nodes_total:
-            raise DatasetError(
-                f"{path_for('node_labels').name}: {len(node_label_rows)} rows "
-                f"for {num_nodes_total} nodes"
-            )
-    if path_for("node_attributes").is_file():
-        node_attr_rows = _parse_float_rows(path_for("node_attributes"))
-        if len(node_attr_rows) != num_nodes_total:
-            raise DatasetError(
-                f"{path_for('node_attributes').name}: {len(node_attr_rows)} rows "
-                f"for {num_nodes_total} nodes"
-            )
-    if not node_label_rows and not node_attr_rows:
+    node_dims, node_vectors = _read_side(path_for, "node", num_nodes_total, "nodes")
+    if not node_dims:
         raise DatasetError(
             f"dataset {name!r} has neither node labels nor node attributes; "
             "kernels need at least one node dimension"
         )
-
-    edge_rows = _parse_int_rows(path_for("A"), 2) if path_for("A").is_file() else []
-    num_edge_rows = len(edge_rows)
-    edge_label_rows = []
-    edge_attr_rows = []
-    if path_for("edge_labels").is_file():
-        edge_label_rows = _parse_int_rows(path_for("edge_labels"))
-        if len(edge_label_rows) != num_edge_rows:
-            raise DatasetError(
-                f"{path_for('edge_labels').name}: {len(edge_label_rows)} rows "
-                f"for {num_edge_rows} edge rows"
-            )
-    if path_for("edge_attributes").is_file():
-        edge_attr_rows = _parse_float_rows(path_for("edge_attributes"))
-        if len(edge_attr_rows) != num_edge_rows:
-            raise DatasetError(
-                f"{path_for('edge_attributes').name}: {len(edge_attr_rows)} rows "
-                f"for {num_edge_rows} edge rows"
-            )
-
-    node_cat_dims, node_cat_ids = _intern_columns(node_label_rows, "node_label_")
-    edge_cat_dims, edge_cat_ids = _intern_columns(edge_label_rows, "edge_label_")
-    node_num_dims = [
-        DimensionSpec(f"node_attr_{c}", NUMERICAL)
-        for c in range(len(node_attr_rows[0]) if node_attr_rows else 0)
-    ]
-    edge_num_dims = [
-        DimensionSpec(f"edge_attr_{c}", NUMERICAL)
-        for c in range(len(edge_attr_rows[0]) if edge_attr_rows else 0)
-    ]
-    schema = AttributeSchema(
-        node_dims=tuple(node_cat_dims) + tuple(node_num_dims),
-        edge_dims=tuple(edge_cat_dims) + tuple(edge_num_dims),
-    )
-
-    def node_vector(node: int) -> AttributeVector:
-        values = []
-        if node_cat_ids:
-            values.extend(node_cat_ids[node])
-        if node_attr_rows:
-            values.extend(node_attr_rows[node])
-        return AttributeVector(tuple(values))
-
-    def edge_vector(row: int) -> AttributeVector:
-        values = []
-        if edge_cat_ids:
-            values.extend(edge_cat_ids[row])
-        if edge_attr_rows:
-            values.extend(edge_attr_rows[row])
-        return AttributeVector(tuple(values))
+    edge_rows = _parse_rows(path_for("A"), int, 2) if path_for("A").is_file() else []
+    edge_dims, edge_vectors = _read_side(path_for, "edge", len(edge_rows), "edge rows")
+    schema = AttributeSchema(node_dims=node_dims, edge_dims=edge_dims)
 
     # group directed edge rows per graph, check mirror symmetry and
     # attribute agreement, then keep one record per canonical edge
@@ -314,13 +259,13 @@ def load_tu_dataset(directory, name: str | None = None) -> Dataset:
             if key in per_graph_edges[gidx]:
                 if has_edge_dims:
                     other = per_graph_edges[gidx][key]
-                    if edge_vector(row).values != other.values:
+                    if edge_vectors[row].values != other.values:
                         raise DatasetError(
                             f"graph {gidx + 1}: mirrored rows of edge {key} "
                             "disagree on attributes"
                         )
                 continue
-            per_graph_edges[gidx][key] = edge_vector(row) if has_edge_dims else None
+            per_graph_edges[gidx][key] = edge_vectors[row] if has_edge_dims else None
 
     graphs = []
     nodes_by_graph: list[list[int]] = [[] for _ in range(num_graphs)]
@@ -333,7 +278,7 @@ def load_tu_dataset(directory, name: str | None = None) -> Dataset:
             nbrs[u].append(v)
             nbrs[v].append(u)
         adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-        attrs = tuple(node_vector(node) for node in nodes_by_graph[gidx])
+        attrs = tuple(node_vectors[node] for node in nodes_by_graph[gidx])
         edge_attrs = None
         if has_edge_dims:
             edge_attrs = tuple(sorted(per_graph_edges[gidx].items()))
@@ -407,8 +352,6 @@ def validate_dataset(ds: Dataset) -> dict:
     Returns a report dict with counts, class histogram, degree statistics,
     and the schema summary. Raises DatasetError on any violation.
     """
-    from .graph import validate_vector
-
     if ds.num_graphs == 0:
         raise DatasetError("no graphs")
     degrees = []
@@ -419,18 +362,16 @@ def validate_dataset(ds: Dataset) -> dict:
             raise DatasetError(f"graph {i} has no nodes")
         total_nodes += g.num_nodes
         total_edges += g.num_edges
-        for v in range(g.num_nodes):
-            degrees.append(len(g.adjacency[v]))
-            try:
-                validate_vector(g.node_attrs[v], ds.schema.node_dims, f"graph {i} node {v}")
-            except SchemaError as exc:
-                raise DatasetError(str(exc)) from exc
+        degrees.extend(len(nbrs) for nbrs in g.adjacency)
+        sides = [("node", ds.schema.node_dims, enumerate(g.node_attrs))]
         if ds.schema.has_edge_attrs:
-            if g.edge_attrs is None:
+            sides.append(("edge", ds.schema.edge_dims, g.edge_attrs))
+        for what, dims, keyed_vectors in sides:
+            if keyed_vectors is None:
                 raise DatasetError(f"graph {i} lacks edge attributes required by the schema")
-            for key, vec in g.edge_attrs:
+            for key, vec in keyed_vectors:
                 try:
-                    validate_vector(vec, ds.schema.edge_dims, f"graph {i} edge {key}")
+                    validate_vector(vec, dims, f"graph {i} {what} {key}")
                 except SchemaError as exc:
                     raise DatasetError(str(exc)) from exc
     histogram = {}
@@ -467,6 +408,32 @@ def _format_value(value) -> str:
     return repr(value) if isinstance(value, float) else str(value)
 
 
+def _side_lines(dims, rows, what: str) -> tuple[list[str], list[str]]:
+    """Label and attribute lines for one side's value rows, in row order.
+
+    Categorical symbol ids map back to their original values; floats print
+    in shortest round-trip form.
+    """
+    split = sum(1 for d in dims if d.kind == CATEGORICAL)
+    if any(d.kind == CATEGORICAL for d in dims[split:]):
+        raise DatasetError(
+            f"{what} dimensions must list categorical before numerical to serialize"
+        )
+    cat_dims = dims[:split]
+    label_lines, attr_lines = [], []
+    for values in rows:
+        if cat_dims:
+            label_lines.append(
+                ", ".join(
+                    str(dim.categories[values[k]] if dim.categories else values[k])
+                    for k, dim in enumerate(cat_dims)
+                )
+            )
+        if split < len(dims):
+            attr_lines.append(", ".join(_format_value(v) for v in values[split:len(dims)]))
+    return label_lines, attr_lines
+
+
 def canonical_files(ds: Dataset) -> dict[str, str]:
     """Serialize the dataset to canonical TU-format file contents.
 
@@ -475,44 +442,16 @@ def canonical_files(ds: Dataset) -> dict[str, str]:
     values, and floats print in shortest round-trip form. This is both the
     writer's payload and the basis of the content digest.
     """
-    def split_point(dims, what):
-        count = sum(1 for d in dims if d.kind == CATEGORICAL)
-        if any(d.kind == CATEGORICAL for d in dims[count:]):
-            raise DatasetError(
-                f"{what} dimensions must list categorical before numerical to serialize"
-            )
-        return count
-
     node_base = []
     total = 0
     for g in ds.graphs:
         node_base.append(total)
         total += g.num_nodes
 
-    indicator_lines = []
-    node_label_lines = []
-    node_attr_lines = []
-    cat_count = split_point(ds.schema.node_dims, "node")
-    node_cat_dims = ds.schema.node_dims[:cat_count]
-    node_num_dims = ds.schema.node_dims[cat_count:]
-    for gidx, g in enumerate(ds.graphs):
-        for v in range(g.num_nodes):
-            indicator_lines.append(str(gidx + 1))
-            values = g.node_attrs[v].values
-            if node_cat_dims:
-                node_label_lines.append(
-                    ", ".join(
-                        str(dim.categories[values[k]] if dim.categories else values[k])
-                        for k, dim in enumerate(node_cat_dims)
-                    )
-                )
-            if node_num_dims:
-                node_attr_lines.append(
-                    ", ".join(
-                        _format_value(values[cat_count + k])
-                        for k in range(len(node_num_dims))
-                    )
-                )
+    indicator_lines = [str(gidx + 1) for gidx, g in enumerate(ds.graphs) for _ in g.node_attrs]
+    node_lines = _side_lines(
+        ds.schema.node_dims, (vec.values for g in ds.graphs for vec in g.node_attrs), "node"
+    )
 
     directed = []
     for gidx, g in enumerate(ds.graphs):
@@ -523,45 +462,19 @@ def canonical_files(ds: Dataset) -> dict[str, str]:
     directed.sort(key=lambda t: (t[0], t[1]))
     a_lines = [f"{u}, {v}" for u, v, _, _ in directed]
 
-    edge_label_lines = []
-    edge_attr_lines = []
-    ecat_count = split_point(ds.schema.edge_dims, "edge")
-    edge_cat_dims = ds.schema.edge_dims[:ecat_count]
-    edge_num_dims = ds.schema.edge_dims[ecat_count:]
+    edge_values = ()
     if ds.schema.has_edge_attrs:
-        for _, _, gidx, key in directed:
-            values = ds.graphs[gidx].edge_attr_map[key].values
-            if edge_cat_dims:
-                edge_label_lines.append(
-                    ", ".join(
-                        str(dim.categories[values[k]] if dim.categories else values[k])
-                        for k, dim in enumerate(edge_cat_dims)
-                    )
-                )
-            if edge_num_dims:
-                edge_attr_lines.append(
-                    ", ".join(
-                        _format_value(values[ecat_count + k])
-                        for k in range(len(edge_num_dims))
-                    )
-                )
+        edge_values = (ds.graphs[gidx].edge_attr_map[key].values for _, _, gidx, key in directed)
+    edge_lines = _side_lines(ds.schema.edge_dims, edge_values, "edge")
 
     label_lines = [str(ds.class_values[label]) for label in ds.labels]
 
-    files = {
-        "A": a_lines,
-        "graph_indicator": indicator_lines,
-        "graph_labels": label_lines,
+    columns = (a_lines, indicator_lines, label_lines, *node_lines, *edge_lines)
+    return {
+        suffix: "\n".join(lines) + "\n" if lines else ""
+        for suffix, lines in zip(_FILE_SUFFIXES, columns)
+        if lines or suffix in _MANDATORY_SUFFIXES
     }
-    if node_label_lines:
-        files["node_labels"] = node_label_lines
-    if node_attr_lines:
-        files["node_attributes"] = node_attr_lines
-    if edge_label_lines:
-        files["edge_labels"] = edge_label_lines
-    if edge_attr_lines:
-        files["edge_attributes"] = edge_attr_lines
-    return {suffix: "\n".join(lines) + "\n" if lines else "" for suffix, lines in files.items()}
 
 
 def canonical_digest(ds: Dataset) -> str:

@@ -24,7 +24,7 @@ import numpy as np
 from .datasets import Dataset, compute_ranges
 from .errors import ConfigError
 from .expansion import ExpansionPlan
-from .gram import GramMatrix, compute_gram, normalize_gram
+from .gram import GramMatrix, check_psd, compute_gram, normalize_gram
 from .similarity import SimilarityParams
 from .svm import predict, train_ovr
 from .version import __version__
@@ -185,14 +185,20 @@ def stratified_folds(labels, k: int, seed) -> list[np.ndarray]:
 
 
 class _GramBank:
-    """Lazy per-(gamma, depth) Gram matrices with normalized variants."""
+    """Lazy per-(gamma, depth) Gram matrices with normalized variants.
 
-    def __init__(self, ds: Dataset, cfg: CvConfig, cache=None):
+    Every raw Gram gets a spectral PSD verdict when it is first used.
+    `seconds` and `psd` are keyed `{prefix}gamma=...,H=...`.
+    """
+
+    def __init__(self, ds: Dataset, cfg: CvConfig, cache=None, prefix: str = ""):
         self.ds = ds
         self.cfg = cfg
+        self.prefix = prefix
         self._raw: dict = {}
         self._normalized: dict = {}
         self.seconds: dict = {}
+        self.psd: dict = {}
         if cache:
             for key, gram in cache.items():
                 gamma, depth = key
@@ -208,6 +214,7 @@ class _GramBank:
 
     def matrix(self, gamma: float, depth: int, normalized: bool) -> np.ndarray:
         key = (float(gamma), int(depth))
+        label = f"{self.prefix}gamma={gamma:g},H={depth}"
         if key not in self._raw:
             started = time.perf_counter()
             self._raw[key] = compute_gram(
@@ -218,9 +225,12 @@ class _GramBank:
                 edge_elements=self.cfg.edge_elements,
                 threads=self.cfg.threads,
             )
-            self.seconds[f"gamma={gamma:g},H={depth}"] = round(
-                time.perf_counter() - started, 6
-            )
+            self.seconds[label] = round(time.perf_counter() - started, 6)
+        if label not in self.psd:
+            verdict = check_psd(self._raw[key])
+            self.psd[label] = {
+                "psd": verdict.psd, "min_eig": verdict.min_eig, "max_eig": verdict.max_eig,
+            }
         if not normalized:
             return self._raw[key].values
         if key not in self._normalized:
@@ -262,6 +272,8 @@ def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
     outer_accuracies = []
     pick_counts = {config: 0 for config in grid}
     inner_sums = {config: [0.0, 0] for config in grid}
+    gram_seconds: dict = {}
+    gram_psd: dict = {}
 
     for repeat in range(cfg.repeats):
         with warnings.catch_warnings(record=True) as caught:
@@ -278,7 +290,7 @@ def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
             fold_bank = bank
             if cfg.range_mode == "per-fold":
                 fold_ds = compute_ranges(ds, train_idx)
-                fold_bank = _GramBank(fold_ds, cfg)
+                fold_bank = _GramBank(fold_ds, cfg, prefix=f"repeat={repeat},fold={fold_id},")
 
             def score(gamma, depth, normalize, cost, tr, ev):
                 nonlocal convergence_warnings
@@ -326,6 +338,8 @@ def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
             gamma, depth, normalize, cost = best
             accuracy = score(gamma, depth, normalize, cost, train_idx, test_idx)
             pick_counts[best] += 1
+            gram_seconds.update(fold_bank.seconds)
+            gram_psd.update(fold_bank.psd)
             outer_accuracies.append(accuracy)
             fold_entries.append(
                 {
@@ -344,6 +358,12 @@ def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
                 }
             )
 
+    for label, verdict in gram_psd.items():
+        if not verdict["psd"]:
+            collected.append(
+                f"Gram {label} is not positive semidefinite (see environment.gram_psd); "
+                "the SVM trained on an indefinite kernel"
+            )
     accuracies = np.asarray(outer_accuracies)
     per_config = []
     for config in grid:
@@ -363,7 +383,8 @@ def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
         "tool_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "total_seconds": round(time.perf_counter() - started, 6),
-        "gram_seconds": dict(bank.seconds) if bank is not None else {},
+        "gram_seconds": gram_seconds,
+        "gram_psd": gram_psd,
         "convergence_warnings": convergence_warnings,
     }
     config_obj = asdict(cfg)

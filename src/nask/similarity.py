@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .graph import CATEGORICAL, DimensionSpec
+from .graph import CATEGORICAL, DimensionSpec, validate_vector
 
 
 @dataclass(frozen=True)
@@ -37,13 +37,16 @@ class PackedAttrs:
 
     Splits dimensions into categorical ids, range-scaled numerical values,
     and zero-range numerical values so that all-pairs similarity reduces to
-    a few dense array operations.
+    a few dense array operations. Every vector is checked against the
+    dimensions first; errors name it as `{where} {index}`.
     """
 
     __slots__ = ("count", "dim_count", "cat", "num_scaled", "num_exact")
 
-    def __init__(self, dims: tuple[DimensionSpec, ...], vectors):
+    def __init__(self, dims: tuple[DimensionSpec, ...], vectors, where: str = "element"):
         vectors = list(vectors)
+        for i, vec in enumerate(vectors):
+            validate_vector(vec, dims, f"{where} {i}")
         self.count = len(vectors)
         self.dim_count = len(dims)
         cat_cols, scaled_cols, exact_cols = [], [], []

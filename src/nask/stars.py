@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError, SchemaError
-from .graph import AttributedGraph, AttributeSchema, validate_vector
+from .graph import AttributedGraph, AttributeSchema
 from .similarity import PackedAttrs, SimilarityParams, similarity_matrix
 
 EDGE_MODES = ("auto", "on", "off")
@@ -43,11 +43,9 @@ class _GraphPack:
     )
 
     def __init__(self, g: AttributedGraph, schema: AttributeSchema, use_edges: bool):
-        for v in range(g.num_nodes):
-            validate_vector(g.node_attrs[v], schema.node_dims, f"graph {g.graph_id} node {v}")
         self.graph = g
         self.n = g.num_nodes
-        self.nodes = PackedAttrs(schema.node_dims, g.node_attrs)
+        self.nodes = PackedAttrs(schema.node_dims, g.node_attrs, f"graph {g.graph_id} node")
         m = g.num_edges
         adj = np.zeros((self.n, self.n))
         inc = np.zeros((self.n, m))
@@ -63,9 +61,7 @@ class _GraphPack:
                     f"graph {g.graph_id} lacks edge attributes required by edge elements"
                 )
             vectors = [vec for _, vec in (g.edge_attrs or ())]
-            for e, vec in enumerate(vectors):
-                validate_vector(vec, schema.edge_dims, f"graph {g.graph_id} edge {e}")
-            self.edge_pack = PackedAttrs(schema.edge_dims, vectors)
+            self.edge_pack = PackedAttrs(schema.edge_dims, vectors, f"graph {g.graph_id} edge")
         ball1 = np.eye(self.n) + adj
         np.minimum(ball1, 1.0, out=ball1)
         self._balls = [ball1]

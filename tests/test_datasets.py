@@ -1,5 +1,7 @@
 """TU-format parsing, validation, canonical serialization, and digests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,11 @@ BASIC = dict(
     node_attributes=["0.5", "1.5", "2.5", "3.5", "4.5"],
     edge_labels=["10", "10", "20", "20", "30", "30"],
 )
+
+
+# BASIC plus edge attributes, so that all four node/edge column files exist
+FULL = dict(BASIC, edge_attributes=["0.25", "0.25", "0.5", "0.5", "1.0", "1.0"])
+SIDE_FILES = ("node_labels", "node_attributes", "edge_labels", "edge_attributes")
 
 
 @pytest.fixture
@@ -123,23 +130,33 @@ class TestLoading:
         with pytest.raises(DatasetError, match="out of range"):
             load_tu_dataset(directory)
 
-    def test_row_count_mismatch(self, tmp_path):
-        files = dict(BASIC, node_labels=["7", "8"])
+    @pytest.mark.parametrize("suffix", SIDE_FILES)
+    def test_row_count_mismatch(self, tmp_path, suffix):
+        files = dict(FULL, **{suffix: FULL[suffix][:2]})
         directory = write_tu(tmp_path, "short", **files)
-        with pytest.raises(DatasetError, match="rows"):
+        with pytest.raises(DatasetError, match="rows") as info:
             load_tu_dataset(directory)
+        unit = "5 nodes" if suffix.startswith("node") else "6 edge rows"
+        assert str(info.value) == f"short_{suffix}.txt: 2 rows for {unit}"
 
-    def test_non_integer_token_names_line(self, tmp_path):
-        files = dict(BASIC, graph_indicator=["1", "x", "1", "2", "2"])
-        directory = write_tu(tmp_path, "token", **files)
-        with pytest.raises(DatasetError, match=r"graph_indicator\.txt:2"):
+    @pytest.mark.parametrize("suffix", ("graph_indicator",) + SIDE_FILES)
+    def test_non_integer_token_names_line(self, tmp_path, suffix):
+        lines = list(FULL[suffix])
+        lines[1] = "x"
+        directory = write_tu(tmp_path, "token", **dict(FULL, **{suffix: lines}))
+        with pytest.raises(DatasetError, match=rf"{suffix}\.txt:2") as info:
             load_tu_dataset(directory)
+        kind = "numeric" if suffix.endswith("attributes") else "integer"
+        assert str(info.value).endswith(f": non-{kind} token")
 
-    def test_non_finite_attribute_rejected(self, tmp_path):
-        files = dict(BASIC, node_attributes=["0.5", "inf", "2.5", "3.5", "4.5"])
-        directory = write_tu(tmp_path, "inf", **files)
-        with pytest.raises(DatasetError, match="non-finite"):
+    @pytest.mark.parametrize("suffix", ("node_attributes", "edge_attributes"))
+    def test_non_finite_attribute_rejected(self, tmp_path, suffix):
+        lines = list(FULL[suffix])
+        lines[1] = "inf"
+        directory = write_tu(tmp_path, "inf", **dict(FULL, **{suffix: lines}))
+        with pytest.raises(DatasetError, match="non-finite") as info:
             load_tu_dataset(directory)
+        assert str(info.value).startswith(f"inf_{suffix}.txt:2:")
 
     def test_empty_graph_rejected(self, tmp_path):
         files = dict(BASIC, graph_indicator=["1", "1", "1", "3", "3"], graph_labels=["1", "-1", "1"])
@@ -249,6 +266,60 @@ class TestRoundTrip:
         )
         with pytest.raises(DatasetError, match="categorical before numerical"):
             canonical_digest(ds)
+
+
+# canonical digests and saved-file SHA-256s, frozen from the serializer as
+# first written; Gram files carry the digest as their dataset provenance
+PINNED = {
+    "basic": (
+        "d396bded664f730199ea4eba469eebba67189a989b365e3a3e0871bd7cb35575",
+        {
+            "A": "8cf30643380867666f1ec25c9e63b287d42b70b424a296f1a4d056be4413cd87",
+            "graph_indicator": "d3586b4f79f08a4b88f1eebcf6529306414d24d6baf37af1593555f92bf37a7c",
+            "graph_labels": "cf1f2f9e36e5c80e0d1b261dae4179a249ec8c1262224489288d266ea39aa6a4",
+            "node_labels": "06f8394c6f15f08dae34f533c16d11466e7cc96d5e83ea430005a0f83d2463f8",
+            "node_attributes": "9a1a977d8e24a0d10a561cd01dd778bbe4705ba437c60ec0d3c77c4ccae5c96f",
+            "edge_labels": "34df060f138617cbaaaf43d90d4b642ee80b32d6802485cbdc49f201f3f7956f",
+        },
+    ),
+    "bench2": (
+        "8184bf665342b3948773f63b9394f1b79a074054caf20c96532241adfd894216",
+        {
+            "A": "729e9b1392b492287f1f482abf2911204c51c3970e833cc5dd32b904bb5e6f15",
+            "graph_indicator": "bf5978fed2afd6b0afca06fbce1f52eae0be9e70af5668111ab40b2af2a56481",
+            "graph_labels": "0e095c2d5ecea29a3d93c4fa12d552460a59060a1da2049317ddf3bf0746c27e",
+            "node_labels": "aebbcc1b1b0c7889139004af733050fb81f88026d62c79a0b9203ffc2ab1d56f",
+            "edge_labels": "234337697fde2d7c8be06857cad6c1fff09f7cb6a74cfefecc333d65618fa89f",
+        },
+    ),
+    "wide6": (
+        "b777463e317378f643bbcc30fcd530ca813a151b30774e7559ad599372d8e7a0",
+        {
+            "A": "6d5fe9870b3ae5b25a9a5b883f329769e3aa66bdbbe91bb31a14a3088e0ea5fa",
+            "graph_indicator": "fd4faf3e099ffb0753059279134c13a3de894204019a3539063c8cd67f9be400",
+            "graph_labels": "d751c041ccb5545a66f46ad6d59eabdabfc2c8b053ca189eb35c8409e28f36ed",
+            "node_labels": "8b7e4ec681bcf4a1679d1e85565942108240b355abff72375c8219ba36ede44c",
+            "node_attributes": "ece129948315ee589ca4541bae6520dcb5bc2f14e9867afcb11551b6e531f77d",
+        },
+    ),
+}
+
+
+class TestPinnedBytes:
+    def test_digest_and_saved_files_are_frozen(self, tmp_path, basic_dir, bench_ds):
+        datasets = {
+            "basic": load_tu_dataset(basic_dir),
+            "bench2": bench_ds,
+            "wide6": synth.wide_attribute_dataset(seed=11, count=400),
+        }
+        for which, ds in datasets.items():
+            digest, files = PINNED[which]
+            assert canonical_digest(ds) == digest, which
+            written = save_tu_dataset(ds, tmp_path / which, name="x")
+            assert {
+                path.name[2:-4]: hashlib.sha256(path.read_bytes()).hexdigest()
+                for path in written
+            } == files, which
 
 
 class TestDatasetInvariants:

@@ -227,8 +227,27 @@ class TestCrossValidate:
         report = cross_validate(ds, cfg)
         assert report.transductive_note is None
         assert len(report.outer_accuracies) == 2
+        # each fold trains on its own Gram, timed and checked for PSD
+        fold_grams = {"repeat=0,fold=0,gamma=1,H=1", "repeat=0,fold=1,gamma=1,H=1"}
+        assert set(report.environment["gram_seconds"]) == fold_grams
+        assert set(report.environment["gram_psd"]) == fold_grams
         full_report = cross_validate(ds, CvConfig(folds=2, repeats=1, **SINGLE_GRID))
         assert full_report.transductive_note == TRANSDUCTIVE_NOTE
+
+    def test_indefinite_gram_is_flagged(self):
+        # the tau-pruned set of test_gram.py, given two classes
+        schema = synth.mixed_schema(n_cat=1, n_num=2)
+        graphs = synth.random_graph_set(1, 80, schema)
+        ds = synth.dataset_from_graphs(graphs, schema=schema, labels=[i % 2 for i in range(80)])
+        grid = dict(gammas=(10.0,), depths=(2,), normalize_options=(False,), costs=(1.0,))
+        report = cross_validate(ds, CvConfig(folds=2, repeats=1, tau=0.5, **grid))
+        verdict = report.environment["gram_psd"]["gamma=10,H=2"]
+        assert not verdict["psd"]
+        assert verdict["min_eig"] < 0
+        assert [w for w in report.warnings if "positive semidefinite" in w] == [
+            "Gram gamma=10,H=2 is not positive semidefinite (see environment.gram_psd); "
+            "the SVM trained on an indefinite kernel"
+        ]
 
     def test_too_many_folds_rejected(self):
         ds = easy_dataset(count=6)
@@ -266,6 +285,8 @@ class TestReportOutput:
         env = report.environment
         assert "tool_version" in env and "timestamp_utc" in env
         assert env["gram_seconds"]  # full mode computes at least one matrix
+        assert env["gram_psd"]["gamma=1,H=1"]["psd"]
+        assert not any("positive semidefinite" in w for w in report.warnings)
         assert env["convergence_warnings"] >= 0
 
     def test_text_rendering(self, report):

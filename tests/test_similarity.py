@@ -53,7 +53,7 @@ class TestPartialSimilarity:
         assert one(CAT, 1, 2) == pytest.approx(EXP_MINUS_1, rel=1e-15)
 
     def test_categorical_requires_symbol_ids(self, cat_schema):
-        # the packed path casts without looking; registration checks the values
+        # registration packs the graph, and packing checks every vector
         g = graph_with(0, 2, [(0, 1)], [(0.5,), (0,)])
         with pytest.raises(SchemaError, match="symbol id"):
             KernelContext(cat_schema).register(g)
@@ -130,6 +130,14 @@ class TestElementSimilarity:
 
 
 class TestPackedPath:
+    def test_packing_checks_every_vector(self):
+        # a float in a categorical dimension would cast to symbol 0 and a
+        # vector longer than the schema would be cut short
+        with pytest.raises(SchemaError, match=r"symbol id \(element 0\)"):
+            PackedAttrs((CAT,), [AttributeVector((0.5,))])
+        with pytest.raises(SchemaError, match=r"2 values, schema declares 1 \(element 1\)"):
+            PackedAttrs((CAT,), [AttributeVector((0,)), AttributeVector((0, 1))])
+
     def test_matrix_matches_scalar_loop(self):
         rng = np.random.default_rng(2)
         dims = synth.mixed_schema(n_cat=2, n_num=2).node_dims
