@@ -14,6 +14,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,36 +50,31 @@ def _default_threads() -> int:
     return os.cpu_count() or 1
 
 
-def _parse_floats(value, what: str) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
+def _integer(value) -> int:
+    number = int(value)
+    if not isinstance(value, str) and number != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return number
+
+
+def _onoff(value) -> bool:
+    if isinstance(value, bool):
+        return value
+    token = str(value).strip().lower()
+    if token not in ("on", "off"):
+        raise ValueError(f"entries must be on/off, got {token!r}")
+    return token == "on"
+
+
+def _parse_list(value, convert, what: str) -> tuple:
+    """A grid axis from a JSON list or a comma-separated string."""
+    pieces = value
+    if not isinstance(value, (list, tuple)):
+        pieces = [piece for piece in str(value).split(",") if piece.strip()]
     try:
-        return tuple(float(piece) for piece in str(value).split(",") if piece.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} list from {value!r}") from exc
-
-
-def _parse_ints(value, what: str) -> tuple[int, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(int(v) for v in value)
-    try:
-        return tuple(int(piece) for piece in str(value).split(",") if piece.strip())
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {what} list from {value!r}") from exc
-
-
-def _parse_onoff(value) -> tuple[bool, ...]:
-    if isinstance(value, (list, tuple)) and all(isinstance(v, bool) for v in value):
-        return tuple(value)
-    out = []
-    for piece in str(value).split(","):
-        piece = piece.strip().lower()
-        if not piece:
-            continue
-        if piece not in ("on", "off"):
-            raise ConfigError(f"normalize grid entries must be on/off, got {piece!r}")
-        out.append(piece == "on")
-    return tuple(out)
+        return tuple(convert(piece) for piece in pieces)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"cannot parse {what} list from {value!r}: {exc}") from exc
 
 
 def _write_manifest(command: str, args, outputs: list[Path], dataset_digest=None,
@@ -102,14 +98,9 @@ def _write_manifest(command: str, args, outputs: list[Path], dataset_digest=None
     return path
 
 
-def _load_dataset(args):
-    ds = load_tu_dataset(args.data, args.name)
-    return ds
-
-
 def cmd_info(args) -> int:
     started = time.perf_counter()
-    ds = compute_ranges(_load_dataset(args))
+    ds = compute_ranges(load_tu_dataset(args.data, args.name))
     report = validate_dataset(ds)
     print(f"dataset: {report['name']}")
     print(f"{report['graphs']} graphs, {report['classes']} classes")
@@ -139,7 +130,7 @@ def cmd_info(args) -> int:
 
 def cmd_gram(args) -> int:
     started = time.perf_counter()
-    ds = compute_ranges(_load_dataset(args))
+    ds = compute_ranges(load_tu_dataset(args.data, args.name))
     gram = compute_gram(
         ds,
         SimilarityParams(gamma=args.gamma),
@@ -166,20 +157,7 @@ def cmd_psd(args) -> int:
     print(f"verdict: {'psd' if verdict.psd else f'violated (min_eig {verdict.min_eig:.6e})'}")
     if args.out:
         out = Path(args.out)
-        out.write_text(
-            json.dumps(
-                {
-                    "psd": verdict.psd,
-                    "min_eig": verdict.min_eig,
-                    "max_eig": verdict.max_eig,
-                    "tol": verdict.tol,
-                    "threshold": verdict.threshold,
-                    "gram": str(args.gram),
-                },
-                indent=2,
-            )
-            + "\n"
-        )
+        out.write_text(json.dumps({**asdict(verdict), "gram": str(args.gram)}, indent=2) + "\n")
         _write_manifest(
             "psd", args, [out], gram.meta.dataset_digest, time.perf_counter() - started
         )
@@ -211,17 +189,17 @@ def cmd_cv(args) -> int:
         folds=args.folds,
         repeats=args.repeats,
         seed=args.seed,
-        gammas=_parse_floats(gammas, "gamma"),
-        depths=_parse_ints(depths, "depth"),
-        normalize_options=_parse_onoff(normalize_grid),
-        costs=_parse_floats(costs, "cost"),
+        gammas=_parse_list(gammas, float, "gamma"),
+        depths=_parse_list(depths, _integer, "depth"),
+        normalize_options=_parse_list(normalize_grid, _onoff, "normalize"),
+        costs=_parse_list(costs, float, "cost"),
         inner_folds=args.inner_folds,
         range_mode=args.range_mode,
         tau=args.tau,
         edge_elements=args.edge_elements,
         threads=args.threads,
     )
-    ds = _load_dataset(args)
+    ds = load_tu_dataset(args.data, args.name)
     report = cross_validate(ds, cfg)
     out = Path(args.out)
     out.write_text(report.to_json())
@@ -376,12 +354,13 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, p_cv
 
 
-def _apply_run_file(parser, p_cv, argv):
+def _apply_run_file(p_cv, argv) -> None:
+    """Make the keys of the --run-file JSON object the cv parser's defaults."""
     probe = argparse.ArgumentParser(add_help=False)
     probe.add_argument("--run-file", default=None)
     found, _ = probe.parse_known_args(argv)
     if not found.run_file:
-        return None
+        return
     try:
         obj = json.loads(Path(found.run_file).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -392,7 +371,6 @@ def _apply_run_file(parser, p_cv, argv):
     if unknown:
         raise ConfigError(f"run file has unknown keys: {', '.join(sorted(unknown))}")
     p_cv.set_defaults(**obj)
-    return obj
 
 
 def main(argv=None) -> int:
@@ -400,7 +378,7 @@ def main(argv=None) -> int:
     parser, p_cv = build_parser()
     try:
         if argv and argv[0] == "cv":
-            _apply_run_file(parser, p_cv, argv)
+            _apply_run_file(p_cv, argv)
         args = parser.parse_args(argv)
         if getattr(args, "threads", None) is None and hasattr(args, "threads"):
             args.threads = _default_threads()

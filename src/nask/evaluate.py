@@ -7,7 +7,9 @@ computed once per (gamma, depth) on the full dataset and sub-indexed per
 fold: kernel values between two graphs do not depend on the split, only
 the dataset-wide attribute ranges do, and that transductive caveat is
 stamped into every report. A per-fold range mode recomputes ranges from
-training graphs only, for auditing the effect.
+training graphs only, for auditing the effect. Each Gram is checked for
+PSD when it is computed; SVM fits that hit their update cap are counted
+from the models into `environment.convergence_warnings`.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .datasets import Dataset, compute_ranges
 from .errors import ConfigError
 from .expansion import ExpansionPlan
-from .gram import GramMatrix, check_psd, compute_gram, normalize_gram
+from .gram import check_psd, compute_gram, normalize_gram
 from .similarity import SimilarityParams
 from .svm import predict, train_ovr
 from .version import __version__
@@ -67,7 +69,7 @@ class CvConfig:
                 raise ConfigError(f"{name} must be a non-empty grid")
         if any(g <= 0 for g in self.gammas):
             raise ConfigError("gammas must be positive")
-        if any(int(h) < 1 for h in self.depths):
+        if any(int(h) != h or h < 1 for h in self.depths):
             raise ConfigError("depths must be integers >= 1")
         if any(c <= 0 for c in self.costs):
             raise ConfigError("costs must be positive")
@@ -187,11 +189,11 @@ def stratified_folds(labels, k: int, seed) -> list[np.ndarray]:
 class _GramBank:
     """Lazy per-(gamma, depth) Gram matrices with normalized variants.
 
-    Every raw Gram gets a spectral PSD verdict when it is first used.
+    Every raw Gram gets a spectral PSD verdict when it is computed.
     `seconds` and `psd` are keyed `{prefix}gamma=...,H=...`.
     """
 
-    def __init__(self, ds: Dataset, cfg: CvConfig, cache=None, prefix: str = ""):
+    def __init__(self, ds: Dataset, cfg: CvConfig, prefix: str = ""):
         self.ds = ds
         self.cfg = cfg
         self.prefix = prefix
@@ -199,23 +201,11 @@ class _GramBank:
         self._normalized: dict = {}
         self.seconds: dict = {}
         self.psd: dict = {}
-        if cache:
-            for key, gram in cache.items():
-                gamma, depth = key
-                if gram.meta.dataset_digest != ds.digest:
-                    raise ConfigError(
-                        f"cached gram for gamma={gamma}, H={depth} was computed on a "
-                        f"different dataset (digest {gram.meta.dataset_digest[:12]}... "
-                        f"vs {ds.digest[:12]}...)"
-                    )
-                if gram.meta.normalize:
-                    raise ConfigError("cached grams must be unnormalized")
-                self._raw[(float(gamma), int(depth))] = gram
 
     def matrix(self, gamma: float, depth: int, normalized: bool) -> np.ndarray:
         key = (float(gamma), int(depth))
-        label = f"{self.prefix}gamma={gamma:g},H={depth}"
         if key not in self._raw:
+            label = f"{self.prefix}gamma={gamma:g},H={depth}"
             started = time.perf_counter()
             self._raw[key] = compute_gram(
                 self.ds,
@@ -226,7 +216,6 @@ class _GramBank:
                 threads=self.cfg.threads,
             )
             self.seconds[label] = round(time.perf_counter() - started, 6)
-        if label not in self.psd:
             verdict = check_psd(self._raw[key])
             self.psd[label] = {
                 "psd": verdict.psd, "min_eig": verdict.min_eig, "max_eig": verdict.max_eig,
@@ -238,20 +227,18 @@ class _GramBank:
         return self._normalized[key].values
 
 
-def _fit_and_score(values, labels, train_idx, eval_idx, cost) -> float:
-    sub = values[np.ix_(train_idx, train_idx)]
-    model = train_ovr(sub, labels[train_idx], cost)
-    rows = values[np.ix_(eval_idx, train_idx)]
-    predicted = predict(model, rows)
-    return float(np.mean(predicted == labels[eval_idx]))
+def _fit_and_score(values, labels, train_idx, eval_idx, cost) -> tuple[float, int]:
+    """Held-out accuracy and the count of unconverged machines, whose warnings are muted."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        model = train_ovr(values[np.ix_(train_idx, train_idx)], labels[train_idx], cost)
+        predicted = predict(model, values[np.ix_(eval_idx, train_idx)])
+    accuracy = float(np.mean(predicted == labels[eval_idx]))
+    return accuracy, sum(not m.converged for m in model.machines)
 
 
-def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
-    """Run the full protocol and assemble the report.
-
-    gram_cache may supply precomputed unnormalized GramMatrix objects keyed
-    by (gamma, depth); any digest mismatch against ds is refused.
-    """
+def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
+    """Run the full protocol and assemble the report."""
     started = time.perf_counter()
     labels = np.asarray(ds.labels)
     n = ds.num_graphs
@@ -262,11 +249,18 @@ def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
     grid = cfg.grid()
     collected: list[str] = []
     convergence_warnings = 0
+    bank = _GramBank(compute_ranges(ds), cfg) if cfg.range_mode == "full" else None
 
-    full_ds = compute_ranges(ds) if cfg.range_mode == "full" else ds
-    bank = _GramBank(full_ds, cfg, cache=gram_cache) if cfg.range_mode == "full" else None
-    if gram_cache and cfg.range_mode != "full":
-        raise ConfigError("gram_cache is only valid with range_mode='full'")
+    def split(fold_labels, k, *seed_path):
+        """Stratified folds; fallback warnings go into the report once each."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            folds = stratified_folds(fold_labels, k, np.random.SeedSequence([cfg.seed, *seed_path]))
+        for w in caught:
+            message = str(w.message)
+            if message not in collected:
+                collected.append(message)
+        return folds
 
     fold_entries = []
     outer_accuracies = []
@@ -276,13 +270,7 @@ def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
     gram_psd: dict = {}
 
     for repeat in range(cfg.repeats):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            folds = stratified_folds(labels, cfg.folds, np.random.SeedSequence([cfg.seed, repeat]))
-        for w in caught:
-            message = str(w.message)
-            if message not in collected:
-                collected.append(message)
+        folds = split(labels, cfg.folds, repeat)
         all_idx = np.arange(n)
         for fold_id, test_idx in enumerate(folds):
             train_idx = np.setdiff1d(all_idx, test_idx)
@@ -292,32 +280,19 @@ def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
                 fold_ds = compute_ranges(ds, train_idx)
                 fold_bank = _GramBank(fold_ds, cfg, prefix=f"repeat={repeat},fold={fold_id},")
 
-            def score(gamma, depth, normalize, cost, tr, ev):
+            def score(config, tr, ev):
                 nonlocal convergence_warnings
+                gamma, depth, normalize, cost = config
                 values = fold_bank.matrix(gamma, depth, normalize)
-                with warnings.catch_warnings(record=True) as fit_caught:
-                    warnings.simplefilter("always")
-                    accuracy = _fit_and_score(values, labels, tr, ev, cost)
-                convergence_warnings += sum(
-                    "did not converge" in str(w.message) for w in fit_caught
-                )
+                accuracy, unconverged = _fit_and_score(values, labels, tr, ev, cost)
+                convergence_warnings += unconverged
                 return accuracy
 
             if len(grid) == 1:
                 best = grid[0]
                 best_inner = None
             else:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    inner = stratified_folds(
-                        labels[train_idx],
-                        cfg.inner_folds,
-                        np.random.SeedSequence([cfg.seed, repeat, fold_id]),
-                    )
-                for w in caught:
-                    message = str(w.message)
-                    if message not in collected:
-                        collected.append(message)
+                inner = split(labels[train_idx], cfg.inner_folds, repeat, fold_id)
                 inner_global = [train_idx[positions] for positions in inner]
                 inner_pairs = []
                 for val_idx in inner_global:
@@ -325,18 +300,17 @@ def cross_validate(ds: Dataset, cfg: CvConfig, gram_cache=None) -> CvReport:
                     inner_pairs.append((np.setdiff1d(train_idx, val_idx), val_idx))
                 best, best_inner = None, -1.0
                 for config in grid:
-                    gamma, depth, normalize, cost = config
                     total = 0.0
                     for inner_train, val_idx in inner_pairs:
-                        total += score(gamma, depth, normalize, cost, inner_train, val_idx)
+                        total += score(config, inner_train, val_idx)
                     mean_inner = total / len(inner_pairs)
                     stats = inner_sums[config]
                     stats[0] += mean_inner
                     stats[1] += 1
                     if mean_inner > best_inner:
                         best, best_inner = config, mean_inner
+            accuracy = score(best, train_idx, test_idx)
             gamma, depth, normalize, cost = best
-            accuracy = score(gamma, depth, normalize, cost, train_idx, test_idx)
             pick_counts[best] += 1
             gram_seconds.update(fold_bank.seconds)
             gram_psd.update(fold_bank.psd)

@@ -68,7 +68,7 @@ class AttributeSchema:
         return len(self.edge_dims) > 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttributeVector:
     """Attribute values for one node or edge, ordered like the schema dims.
 

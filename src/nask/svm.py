@@ -2,8 +2,10 @@
 
 The binary solver is sequential minimal optimization over the dual with
 max-violating-pair working-set selection, lowest-index tie-breaking, and
-an analytic two-variable subproblem. It maintains the gradient of the dual
-objective incrementally, so one update costs O(n). Models store only what
+an analytic two-variable subproblem clipped to the box by one rule per
+constraint type. It maintains the gradient of the dual objective
+incrementally, so one update costs O(n). A fit that hits its update cap
+warns and returns with `converged` false. Models store only what
 prediction needs: support indices, dual coefficients, and the bias.
 """
 
@@ -35,7 +37,6 @@ class BinarySvm:
     iterations: int
     objective: float
     alpha: np.ndarray | None = None
-    objective_history: tuple = ()
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, self.support] @ self.dual_coef + self.bias
@@ -68,7 +69,6 @@ def train_binary(
     tol: float = 1e-3,
     max_passes: int | None = None,
     positive_class: int | None = None,
-    track_objective: bool = False,
 ) -> BinarySvm:
     """Solve the dual on a precomputed kernel for labels in {-1, +1}.
 
@@ -90,21 +90,20 @@ def train_binary(
 
     Kd = K.diagonal()
     Q = K * np.outer(y, y)
+    pos, neg = y > 0, y < 0
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of (1/2 a'Qa - sum a)
-    history = []
     converged = False
     iterations = 0
 
-    def objective() -> float:
-        return 0.5 * (alpha.sum() - alpha @ grad)
+    def bound_sets():
+        """Indices whose y*alpha may still rise (up) or fall (lo)."""
+        below, above = alpha < C, alpha > 0
+        return (pos & below) | (neg & above), (pos & above) | (neg & below)
 
-    if track_objective:
-        history.append(objective())
     for _ in range(max_iter):
         yg = -y * grad
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        lo = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        up, lo = bound_sets()
         if not up.any() or not lo.any():
             converged = True
             break
@@ -119,50 +118,32 @@ def train_binary(
         if quad <= 0:
             quad = _TAU
         if y[i] != y[j]:
+            # alpha_i - alpha_j is fixed: clip the smaller one at 0, the larger at C
             delta = (-grad[i] - grad[j]) / quad
             diff = old_i - old_j
             alpha[i] = old_i + delta
             alpha[j] = old_j + delta
-            if diff > 0:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = diff
-            else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = -diff
-            if diff > 0:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = C - diff
-            else:
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = C + diff
+            low, high, gap = (j, i, diff) if diff > 0 else (i, j, -diff)
+            if alpha[low] < 0:
+                alpha[low] = 0.0
+                alpha[high] = gap
+            if alpha[high] > C:
+                alpha[high] = C
+                alpha[low] = C - gap
         else:
+            # alpha_i + alpha_j is fixed: a total above C clips at C, else at 0
             delta = (grad[i] - grad[j]) / quad
             total = old_i + old_j
             alpha[i] = old_i - delta
             alpha[j] = old_j + delta
-            if total > C:
-                if alpha[i] > C:
-                    alpha[i] = C
-                    alpha[j] = total - C
-            else:
-                if alpha[j] < 0:
-                    alpha[j] = 0.0
-                    alpha[i] = total
-            if total > C:
-                if alpha[j] > C:
-                    alpha[j] = C
-                    alpha[i] = total - C
-            else:
-                if alpha[i] < 0:
-                    alpha[i] = 0.0
-                    alpha[j] = total
+            for a, b in ((i, j), (j, i)):
+                if total > C and alpha[a] > C:
+                    alpha[a] = C
+                    alpha[b] = total - C
+                elif total <= C and alpha[b] < 0:
+                    alpha[b] = 0.0
+                    alpha[a] = total
         grad += Q[:, i] * (alpha[i] - old_i) + Q[:, j] * (alpha[j] - old_j)
-        if track_objective:
-            history.append(objective())
     else:
         warnings.warn(
             f"SMO did not converge within {max_iter} updates (gap above {tol})"
@@ -173,8 +154,7 @@ def train_binary(
     if free.any():
         bias = float(yg[free].mean())
     else:
-        up = ((y > 0) & (alpha < C)) | ((y < 0) & (alpha > 0))
-        lo = ((y > 0) & (alpha > 0)) | ((y < 0) & (alpha < C))
+        up, lo = bound_sets()
         upper = float(yg[up].max()) if up.any() else None
         lower = float(yg[lo].min()) if lo.any() else None
         if upper is None:
@@ -193,9 +173,8 @@ def train_binary(
         n_train=n,
         converged=converged,
         iterations=iterations,
-        objective=float(objective()),
+        objective=float(0.5 * (alpha.sum() - alpha @ grad)),
         alpha=alpha,
-        objective_history=tuple(history),
     )
 
 
@@ -223,21 +202,14 @@ def train_ovr(
                 raise DegenerateClassError(f"class {c} has no training examples")
     if len(classes) < 2:
         raise DegenerateClassError(f"need at least 2 classes, got {len(classes)}")
-    machines = []
-    if len(classes) == 2:
-        y = np.where(labels == classes[1], 1.0, -1.0)
-        machines.append(
-            train_binary(K, y, C, tol=tol, max_passes=max_passes, positive_class=classes[1])
-        )
-    else:
-        for c in classes:
-            y = np.where(labels == c, 1.0, -1.0)
-            machines.append(
-                train_binary(K, y, C, tol=tol, max_passes=max_passes, positive_class=c)
-            )
+    machines = tuple(
+        train_binary(K, np.where(labels == c, 1.0, -1.0), C, tol=tol,
+                     max_passes=max_passes, positive_class=c)
+        for c in (classes[1:] if len(classes) == 2 else classes)
+    )
     return SvmModel(
         classes=tuple(classes),
-        machines=tuple(machines),
+        machines=machines,
         C=float(C),
         n_train=n,
         gram_digest=gram_digest,

@@ -208,6 +208,18 @@ class TestCv:
         assert code == 2
         assert "unknown keys: bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", [{"gammas": ["x"]}, {"depths": [1.5]}])
+    def test_bad_run_file_grid_entry_rejected(self, tu_dir, tmp_path, capsys, grid):
+        run_file = tmp_path / "run.json"
+        run_file.write_text(json.dumps({**grid, "folds": 3, "repeats": 1}))
+        code = main([
+            "cv", "--data", str(tu_dir), "--run-file", str(run_file),
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_grid_spec_key_rejected(self, tu_dir, tmp_path, capsys):
         code = main([
             "cv", "--data", str(tu_dir), "--grid-spec", "width=3",

@@ -1,5 +1,7 @@
 """Graph model construction, validation, and permutation."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -60,6 +62,13 @@ class TestConstruction:
     def test_build_adjacency_rejects_out_of_range(self):
         with pytest.raises(SchemaError):
             build_adjacency(2, [(0, 2)])
+
+    def test_attribute_vector_has_slots_and_pickles(self):
+        vec = AttributeVector((2, 0.25))
+        assert not hasattr(vec, "__dict__")
+        copy = pickle.loads(pickle.dumps(vec))
+        assert copy == vec and hash(copy) == hash(vec)
+        assert copy.values == (2, 0.25)
 
     def test_neighbors(self):
         g = graph_with(0, 3, [(0, 1), (1, 2)], [(0,), (0,), (0,)])

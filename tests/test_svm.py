@@ -1,5 +1,8 @@
 """Dual SVM training against hand-derived fixtures and a global oracle."""
 
+import hashlib
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,11 +30,60 @@ IDENTITY_OBJECTIVE = 1.0
 DUPLICATE_OBJECTIVE_AT_C1 = 2.0
 
 
+# svm_fingerprint() of the current solver: a change that moves these bits
+# must say so in CHANGES.md
+SVM_FINGERPRINT = "e0a59c76902516472dafeaf04be55784ab59952b1b0b8d1adc5588c980b3db84"
+
+
 def random_psd_kernel(rng, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n + 2))
     k = a @ a.T
     k += np.eye(n) * 0.5  # keep it comfortably full-rank
     return (k + k.T) / 2.0
+
+
+def svm_fingerprint() -> str:
+    """SHA-256 over alpha, bias, objective, iterations and convergence of
+    seeded binary and one-vs-rest fits: PSD, RBF and indefinite kernels,
+    small and large C, some fits capped at a few updates."""
+    rng = np.random.default_rng(4242)
+    digest = hashlib.sha256()
+
+    def add(machine):
+        digest.update(machine.alpha.tobytes())
+        digest.update(np.array([machine.bias, machine.objective]).tobytes())
+        digest.update(np.array([machine.iterations, machine.converged]).tobytes())
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trial in range(150):
+            n = int(rng.integers(4, 24))
+            X = rng.integers(-3, 4, size=(n, 4)).astype(float)
+            K = X @ X.T
+            if trial % 3 == 1:
+                K = np.exp(-0.3 * ((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+            elif trial % 3 == 2:
+                S = rng.integers(-3, 4, size=(n, n)).astype(float)
+                K = K + S + S.T
+            y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+            y[:2] = (1.0, -1.0)
+            C = float(rng.choice([0.05, 1.0, 20.0]))
+            max_passes = int(rng.integers(1, 6)) if trial % 4 == 3 else None
+            add(train_binary(K, y, C, max_passes=max_passes))
+        for trial in range(30):
+            n = int(rng.integers(6, 24))
+            X = rng.normal(size=(n, 3))
+            K = np.exp(-((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+            if trial % 3 == 2:
+                S = rng.normal(size=(n, n))
+                K = K + 0.5 * (S + S.T)
+            labels = np.arange(n) % (2 + trial % 3)
+            rng.shuffle(labels)
+            C = float(rng.choice([0.05, 1.0, 20.0]))
+            max_passes = int(rng.integers(1, 6)) if trial % 4 == 3 else None
+            for machine in train_ovr(K, labels, C, max_passes=max_passes).machines:
+                add(machine)
+    return digest.hexdigest()
 
 
 class TestHandFixtures:
@@ -111,11 +163,17 @@ class TestSolverProperties:
         rng = np.random.default_rng(52)
         K = random_psd_kernel(rng, 12)
         y = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
-        model = train_binary(K, y, C=2.0, track_objective=True)
-        history = np.asarray(model.objective_history)
+        model = train_binary(K, y, C=2.0)
+        # the objective after k updates is that of a fit capped at k updates
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            history = np.asarray([
+                train_binary(K, y, C=2.0, max_passes=k).objective
+                for k in range(model.iterations + 1)
+            ])
         assert history.size >= 2
         assert np.all(np.diff(history) >= -1e-12)
-        assert history[-1] == pytest.approx(model.objective)
+        assert history[-1] == model.objective
 
     def test_scale_covariance_preserves_predictions(self):
         rng = np.random.default_rng(53)
@@ -138,6 +196,9 @@ class TestSolverProperties:
         assert model.iterations == 2
         # the partial model still predicts
         assert model.decision_values(K[:3]).shape == (3,)
+
+    def test_seeded_fits_match_the_pinned_fingerprint(self):
+        assert svm_fingerprint() == SVM_FINGERPRINT
 
 
 class TestValidation:
