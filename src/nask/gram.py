@@ -30,11 +30,24 @@ from .errors import (
 )
 from .expansion import ExpansionPlan
 from .similarity import SimilarityParams
-from .stars import KernelContext
+from .stars import EDGE_MODES, KernelContext
 from .version import __version__
 
 _HEADER = "NASK-GRAM v1"
 _META_KEYS = ("dataset_digest", "gamma", "H", "tau", "normalize", "edge_elements", "version")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_META_CHECKS = {
+    "normalize": lambda v: isinstance(v, bool),
+    "H": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
+    "gamma": lambda v: _is_number(v) and math.isfinite(v) and v > 0,
+    "tau": lambda v: _is_number(v) and 0.0 <= v < 1.0,
+    "edge_elements": lambda v: v in EDGE_MODES,
+}
 
 
 @dataclass(frozen=True)
@@ -65,18 +78,18 @@ class GramMeta:
         missing = [key for key in _META_KEYS if key not in obj]
         if missing:
             raise GramFormatError(f"metadata missing keys: {', '.join(missing)}")
-        try:
-            return cls(
-                dataset_digest=str(obj["dataset_digest"]),
-                gamma=float(obj["gamma"]),
-                depth=int(obj["H"]),
-                tau=float(obj["tau"]),
-                normalize=bool(obj["normalize"]),
-                edge_elements=str(obj["edge_elements"]),
-                version=str(obj["version"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise GramFormatError(f"metadata has ill-typed values: {exc}") from exc
+        for key, valid in _META_CHECKS.items():
+            if not valid(obj[key]):
+                raise GramFormatError(f"metadata key {key!r} has an invalid value {obj[key]!r}")
+        return cls(
+            dataset_digest=str(obj["dataset_digest"]),
+            gamma=float(obj["gamma"]),
+            depth=obj["H"],
+            tau=float(obj["tau"]),
+            normalize=obj["normalize"],
+            edge_elements=obj["edge_elements"],
+            version=str(obj["version"]),
+        )
 
 
 @dataclass(frozen=True)
@@ -119,15 +132,16 @@ def matrix_digest(values: np.ndarray) -> str:
 _WORKER_STATE: dict = {}
 
 
-def _pair_values(pairs, job=None) -> list[float]:
-    """Kernel values of (i, j) pairs in order, for a job (ctx, graphs, depth).
+def _pair_values(span) -> list[float]:
+    """Kernel values of the upper-triangle entries lo..hi-1, in order.
 
-    Forked pool workers pass no job and read the one the parent left in
-    _WORKER_STATE.
+    The job (ctx, graphs, depth, rows, cols) is the one compute_gram left in
+    _WORKER_STATE; forked pool workers inherit it.
     """
-    ctx, graphs, depth = job if job is not None else _WORKER_STATE["job"]
+    ctx, graphs, depth, rows, cols = _WORKER_STATE["job"]
+    lo, hi = span
     values = []
-    for i, j in pairs:
+    for i, j in zip(rows[lo:hi].tolist(), cols[lo:hi].tolist()):
         try:
             value = ctx.pair_value(graphs[i], graphs[j], depth)
         except MemoryError as exc:
@@ -166,33 +180,32 @@ def compute_gram(
     if not isinstance(plan, ExpansionPlan):
         raise ConfigError(f"plan must be ExpansionPlan, got {type(plan).__name__}")
     ctx = KernelContext(ds.schema, params, tau=tau, edge_elements=edge_elements)
-    for g in ds.graphs:
-        pack = ctx.register(g)
-        pack.family(min(plan.max_depth, pack.n))  # warm caches before forking
+    for index, g in enumerate(ds.graphs):
+        try:
+            pack = ctx.register(g)
+            pack.family(min(plan.max_depth, pack.n))  # warm caches before forking
+        except MemoryError as exc:
+            raise GramComputeError(f"resource exhaustion while packing graph {index}") from exc
     n = ds.num_graphs
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    values = np.zeros((n, n))
+    rows, cols = np.triu_indices(n)
 
     if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
         warnings.warn("fork start method unavailable; computing on one thread")
         threads = 1
-    job = (ctx, ds.graphs, plan.max_depth)
-    if threads == 1 or n < 4:
-        flat = _pair_values(pairs, job)
-    else:
-        blocks = [list(chunk) for chunk in np.array_split(np.array(pairs), threads * 4)]
-        blocks = [[(int(i), int(j)) for i, j in chunk] for chunk in blocks if len(chunk)]
-        _WORKER_STATE["job"] = job
-        try:
-            mp_ctx = multiprocessing.get_context("fork")
-            with mp_ctx.Pool(processes=threads) as pool:
-                results = pool.map(_pair_values, blocks)
-        finally:
-            _WORKER_STATE.clear()
-        flat = [value for chunk in results for value in chunk]
-    for (i, j), value in zip(pairs, flat):
-        values[i, j] = value
-        values[j, i] = value
+    _WORKER_STATE["job"] = (ctx, ds.graphs, plan.max_depth, rows, cols)
+    try:
+        if threads == 1 or n < 4:
+            flat = _pair_values((0, rows.size))
+        else:
+            cuts = [rows.size * k // (threads * 4) for k in range(threads * 4 + 1)]
+            with multiprocessing.get_context("fork").Pool(processes=threads) as pool:
+                chunks = pool.map(_pair_values, zip(cuts, cuts[1:]))
+            flat = [value for chunk in chunks for value in chunk]
+    finally:
+        _WORKER_STATE.clear()
+    values = np.zeros((n, n))
+    values[rows, cols] = flat
+    values[cols, rows] = flat
 
     meta = GramMeta(
         dataset_digest=ds.digest,

@@ -30,30 +30,23 @@ EDGE_MODES = ("auto", "on", "off")
 
 
 class _GraphPack:
-    """Packed arrays and per-depth family indicators for one graph.
+    """Packed attributes and per-depth family indicators for one graph.
 
+    The pack keeps no adjacency or incidence matrix, only indicators:
     balls[h-1][v, u] == 1 iff u lies within h hops of v; edge_inc[h-1][v, e]
-    == 1 iff edge e belongs to the depth-h star at v. Depth-1 is the plain
-    star; each deeper level adds the edges incident to the previous ball
-    and the nodes they reach. Arrays grow lazily and stop once saturated.
+    == 1 iff edge e belongs to the depth-h star at v. Depth 1 is the plain
+    star (I + A and the incidence matrix); each deeper level multiplies the
+    previous ball by the depth-1 indicators, adding the edges incident to it
+    and the nodes they reach. Levels grow lazily and stop once saturated.
     """
 
-    __slots__ = (
-        "graph", "n", "nodes", "adj", "inc", "edge_pack", "_balls", "_eincs", "_saturated",
-    )
+    __slots__ = ("graph", "n", "nodes", "edge_pack", "_balls", "_eincs", "_saturated")
 
     def __init__(self, g: AttributedGraph, schema: AttributeSchema, use_edges: bool):
         self.graph = g
         self.n = g.num_nodes
         self.nodes = PackedAttrs(schema.node_dims, g.node_attrs, f"graph {g.graph_id} node")
         m = g.num_edges
-        adj = np.zeros((self.n, self.n))
-        inc = np.zeros((self.n, m))
-        for e, (u, v) in enumerate(g.edges):
-            adj[u, v] = adj[v, u] = 1.0
-            inc[u, e] = inc[v, e] = 1.0
-        self.adj = adj
-        self.inc = inc
         self.edge_pack = None
         if use_edges:
             if g.edge_attrs is None and m > 0:
@@ -62,24 +55,24 @@ class _GraphPack:
                 )
             vectors = [vec for _, vec in (g.edge_attrs or ())]
             self.edge_pack = PackedAttrs(schema.edge_dims, vectors, f"graph {g.graph_id} edge")
-        ball1 = np.eye(self.n) + adj
-        np.minimum(ball1, 1.0, out=ball1)
-        self._balls = [ball1]
-        self._eincs = [inc.copy()]
-        self._saturated = self.n <= 1 and m == 0
-
-    def _step(self, ball: np.ndarray):
-        grown = ((ball @ self.adj) > 0) | (ball > 0)
-        edges = (ball @ self.inc) > 0
-        return grown.astype(np.float64), edges.astype(np.float64)
+        ends = np.array(g.edges, dtype=np.intp).reshape(m, 2)
+        ball = np.eye(self.n)
+        ball[ends, ends[:, ::-1]] = 1.0
+        einc = np.zeros((self.n, m))
+        einc[ends.T, np.arange(m)] = 1.0
+        self._balls = [ball]
+        self._eincs = [einc]
+        self._saturated = False
 
     def family(self, depth: int):
         """Indicator matrices (ball, edge membership) for the given depth."""
         if depth < 1:
             raise ConfigError(f"family depth must be >= 1, got {depth}")
         while len(self._balls) < depth and not self._saturated:
-            nxt, enxt = self._step(self._balls[-1])
-            if np.array_equal(nxt, self._balls[-1]) and np.array_equal(enxt, self._eincs[-1]):
+            last = self._balls[-1]
+            nxt = ((last @ self._balls[0]) > 0).astype(np.float64)
+            enxt = ((last @ self._eincs[0]) > 0).astype(np.float64)
+            if np.array_equal(nxt, last) and np.array_equal(enxt, self._eincs[-1]):
                 self._saturated = True
                 break
             self._balls.append(nxt)
@@ -128,21 +121,20 @@ class KernelContext:
 
     def pair_value(self, ga: AttributedGraph, gb: AttributedGraph, max_depth: int) -> float:
         """Sum of star-pair kernel values over depths 1..min(H, |Va|, |Vb|)."""
+        if max_depth < 1:
+            raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
         pa, pb = self.register(ga), self.register(gb)
         p_nodes = similarity_matrix(pa.nodes, pb.nodes, self.params)
         p_edges = None
         if self.use_edges:
             p_edges = similarity_matrix(pa.edge_pack, pb.edge_pack, self.params)
-        if self.tau > 0.0:
-            weights = np.where(p_nodes >= self.tau, p_nodes, 0.0)
-        else:
-            weights = p_nodes
+        weights = np.where(p_nodes >= self.tau, p_nodes, 0.0)
         total = 0.0
         for h in range(1, min(max_depth, pa.n, pb.n) + 1):
             ball_a, einc_a = pa.family(h)
             ball_b, einc_b = pb.family(h)
             m = ball_a @ p_nodes @ ball_b.T
-            if p_edges is not None and p_edges.size:
+            if p_edges is not None:
                 m = m + einc_a @ p_edges @ einc_b.T
             total += float((weights * m).sum())
         return total

@@ -97,16 +97,18 @@ def train_binary(
     iterations = 0
 
     def bound_sets():
-        """Indices whose y*alpha may still rise (up) or fall (lo)."""
+        """Indices whose y*alpha may still rise (up) or fall (lo).
+
+        Neither set is ever empty: emptying one puts every alpha of one label
+        sign at one bound and every alpha of the other sign at the opposite
+        bound, which sum(y * alpha) = 0 rules out when both signs are present.
+        """
         below, above = alpha < C, alpha > 0
         return (pos & below) | (neg & above), (pos & above) | (neg & below)
 
     for _ in range(max_iter):
         yg = -y * grad
         up, lo = bound_sets()
-        if not up.any() or not lo.any():
-            converged = True
-            break
         i = int(np.argmax(np.where(up, yg, -np.inf)))
         j = int(np.argmin(np.where(lo, yg, np.inf)))
         if yg[i] - yg[j] <= tol:
@@ -155,14 +157,7 @@ def train_binary(
         bias = float(yg[free].mean())
     else:
         up, lo = bound_sets()
-        upper = float(yg[up].max()) if up.any() else None
-        lower = float(yg[lo].min()) if lo.any() else None
-        if upper is None:
-            bias = lower if lower is not None else 0.0
-        elif lower is None:
-            bias = upper
-        else:
-            bias = (upper + lower) / 2.0
+        bias = (float(yg[up].max()) + float(yg[lo].min())) / 2.0
     support = np.flatnonzero(alpha > 0)
     return BinarySvm(
         positive_class=positive_class,

@@ -53,6 +53,16 @@ class TestExpandStar:
         with pytest.raises(ConfigError):
             pack.family(0)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_edgeless_pack_saturates_at_depth_one(self, cat_schema, n):
+        pack = KernelContext(cat_schema).register(graph_with(0, n, [], [(0,)] * n))
+        ball1, einc1 = pack.family(1)
+        for depth in range(1, 5):
+            ball, einc = pack.family(depth)
+            assert np.array_equal(ball, ball1) and np.array_equal(einc, einc1)
+        assert np.array_equal(ball1, np.eye(n)) and einc1.shape == (n, 0)
+        assert len(pack._balls) == 1
+
 
 class TestMatrixFamilyAgreement:
     def test_indicators_match_object_families(self, full_schema):
@@ -126,6 +136,16 @@ class TestNaskKernel:
         at_two = nask_kernel(g0, g1, ExpansionPlan(max_depth=2), ctx)
         at_five = nask_kernel(g0, g1, ExpansionPlan(max_depth=5), ctx)
         assert at_two == at_five
+
+    def test_single_node_graph_against_path_matches_oracle(self, cat_schema):
+        g0 = graph_with(0, 1, [], [(1,)])
+        g1 = graph_with(1, 5, [(i, i + 1) for i in range(4)], [(0,), (1,), (2,), (1,), (3,)])
+        ctx = KernelContext(cat_schema, SimilarityParams(gamma=1.0))
+        params = OracleParams(cat_schema, gamma=1.0)
+        for ga, gb in ((g0, g1), (g1, g0), (g0, g0)):
+            assert nask_kernel(ga, gb, ExpansionPlan(max_depth=4), ctx) == pytest.approx(
+                oracles.oracle_NASK(ga, gb, 4, params), rel=1e-12
+            )
 
     def test_permutation_invariance(self, full_schema):
         from nask.graph import permute_graph

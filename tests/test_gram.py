@@ -1,5 +1,7 @@
 """Gram computation, normalization, PSD verdicts, and the file format."""
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -8,10 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nask import stars
 from nask.datasets import compute_ranges
 from nask.errors import (
     ConfigError,
     DatasetError,
+    GramComputeError,
     GramFormatError,
     InvalidGramError,
 )
@@ -44,6 +48,30 @@ ds = nask.compute_ranges(synth.benchmark_dataset())
 gram = nask.compute_gram(ds, plan=nask.ExpansionPlan(max_depth=4), threads=1)
 print(hashlib.sha256(gram.values.tobytes()).hexdigest())
 """
+
+# SHA-256 of compute_gram(...).values.tobytes(), frozen so that an engine
+# rewrite must keep every bit
+PINNED_GRAM_SHA256 = {
+    "bench2-H4": "9fe0fb2372c50ec56b0015fd3eaad2eed2dcedf84a0b9370a7ff5bcc4124717b",
+    "wide6-200-H4": "ed9693a1b5140544dcd1d40a581c7475b4fa6c846adc21626ab91420c9e02802",
+    "large-H3-tau0.6": "6b5f9b5f5e62ed607af177edfbf5eda412720bb6f6aa64a7ef3680cca79e43eb",
+}
+
+
+def pinned_gram(name):
+    """The Gram behind each PINNED_GRAM_SHA256 entry."""
+    params = SimilarityParams(gamma=1.0)
+    if name == "bench2-H4":
+        ds = compute_ranges(synth.benchmark_dataset(seed=7))
+        return compute_gram(ds, params, ExpansionPlan(max_depth=4))
+    if name == "wide6-200-H4":
+        ds = compute_ranges(synth.wide_attribute_dataset(seed=11, count=200))
+        return compute_gram(ds, params, ExpansionPlan(max_depth=4), threads=2)
+    # 100-300 nodes, categorical edge labels, pruned center weights
+    schema = synth.mixed_schema(n_cat=1, n_num=2, edge_cat=1, cat_card=5)
+    graphs = synth.random_graph_set(9, 12, schema, min_nodes=100, max_nodes=300)
+    ds = compute_ranges(synth.dataset_from_graphs(graphs, "large12", schema))
+    return compute_gram(ds, params, ExpansionPlan(max_depth=3), tau=0.6)
 
 
 def small_dataset(seed=31, count=12, name="gramtest"):
@@ -166,6 +194,19 @@ class TestComputeGram:
         with pytest.raises(ConfigError):
             compute_gram(small_dataset(count=4), threads=0)
 
+    def test_exhaustion_while_packing_names_the_graph(self, monkeypatch):
+        def exhausted(pack, depth):
+            raise MemoryError
+
+        monkeypatch.setattr(stars._GraphPack, "family", exhausted)
+        with pytest.raises(GramComputeError, match="packing graph 0"):
+            compute_gram(small_dataset(count=4))
+
+    @pytest.mark.parametrize("name", sorted(PINNED_GRAM_SHA256))
+    def test_values_match_the_pinned_digest(self, name):
+        values = pinned_gram(name).values
+        assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_GRAM_SHA256[name]
+
 
 class TestNormalize:
     def test_frozen_fixture(self):
@@ -235,8 +276,6 @@ class TestFileFormat:
         path = export_gram(gram, tmp_path / "g.gram")
         lines = path.read_text().splitlines()
         assert lines[0] == "NASK-GRAM v1"
-        import json
-
         meta = json.loads(lines[1])
         assert list(meta) == [
             "dataset_digest", "gamma", "H", "tau", "normalize", "edge_elements", "version",
@@ -260,6 +299,24 @@ class TestFileFormat:
         path = tmp_path / "bad.gram"
         path.write_text('NASK-GRAM v1\n{"gamma": 1.0}\n1\n1.0\n')
         with pytest.raises(GramFormatError, match="missing keys"):
+            import_gram(path)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("normalize", "false"),
+        ("H", 2.7),
+        ("H", True),
+        ("gamma", "nan"),
+        ("tau", -3),
+        ("edge_elements", "sometimes"),
+    ])
+    def test_ill_typed_metadata_names_the_key(self, tmp_path, key, bad):
+        path = export_gram(compute_gram(small_dataset(count=2)), tmp_path / "g.gram")
+        lines = path.read_text().splitlines()
+        meta = json.loads(lines[1])
+        meta[key] = bad
+        lines[1] = json.dumps(meta)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GramFormatError, match=f"'{key}'"):
             import_gram(path)
 
     def test_dimension_mismatch(self, tmp_path):

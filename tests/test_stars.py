@@ -72,6 +72,11 @@ class TestContextValidation:
         with pytest.raises(ConfigError):
             KernelContext(cat_schema, tau=-0.1)
 
+    def test_pair_value_needs_a_positive_depth(self, single_edge_pair):
+        schema, g0, g1 = single_edge_pair
+        with pytest.raises(ConfigError, match="max_depth"):
+            KernelContext(schema).pair_value(g0, g1, 0)
+
     def test_conflicting_graph_ids_rejected(self, cat_schema):
         ctx = KernelContext(cat_schema)
         ctx.register(graph_with(0, 2, [(0, 1)], [(0,), (0,)]))
