@@ -3,10 +3,10 @@
 The outer loop measures accuracy on held-out folds; hyperparameters
 (gamma, depth, normalization, C) are chosen per outer fold by an inner
 cross-validation on the training portion only. Kernel matrices are
-computed once per (gamma, depth) on the full dataset and sub-indexed per
-fold: kernel values between two graphs do not depend on the split, only
-the dataset-wide attribute ranges do, and that transductive caveat is
-stamped into every report. A per-fold range mode recomputes ranges from
+computed once per gamma on the full dataset, one pass yielding every grid
+depth, and sub-indexed per fold: kernel values between two graphs do not
+depend on the split, only the dataset-wide attribute ranges do, and that
+transductive caveat is stamped into every report. A per-fold range mode recomputes ranges from
 training graphs only, for auditing the effect. Each Gram is checked for
 PSD when it is computed; SVM fits that hit their update cap are counted
 from the models into `environment.convergence_warnings`.
@@ -65,8 +65,11 @@ class CvConfig:
         if self.inner_folds < 2:
             raise ConfigError(f"inner_folds must be >= 2, got {self.inner_folds}")
         for name in ("gammas", "depths", "normalize_options", "costs"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ConfigError(f"{name} must be a non-empty grid")
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {values!r}")
         if any(g <= 0 for g in self.gammas):
             raise ConfigError("gammas must be positive")
         if any(int(h) != h or h < 1 for h in self.depths):
@@ -187,10 +190,12 @@ def stratified_folds(labels, k: int, seed) -> list[np.ndarray]:
 
 
 class _GramBank:
-    """Lazy per-(gamma, depth) Gram matrices with normalized variants.
+    """Lazy per-gamma Gram matrices for every grid depth, with normalized variants.
 
-    Every raw Gram gets a spectral PSD verdict when it is computed.
-    `seconds` and `psd` are keyed `{prefix}gamma=...,H=...`.
+    One compute_gram pass per gamma yields the Gram of each depth in the
+    grid, and every raw Gram gets a spectral PSD verdict. `psd` is keyed
+    `{prefix}gamma=...,H=...` per Gram; `seconds` has one entry per pass,
+    keyed by its deepest depth.
     """
 
     def __init__(self, ds: Dataset, cfg: CvConfig, prefix: str = ""):
@@ -205,26 +210,34 @@ class _GramBank:
     def matrix(self, gamma: float, depth: int, normalized: bool) -> np.ndarray:
         key = (float(gamma), int(depth))
         if key not in self._raw:
-            label = f"{self.prefix}gamma={gamma:g},H={depth}"
-            started = time.perf_counter()
-            self._raw[key] = compute_gram(
-                self.ds,
-                SimilarityParams(gamma=gamma),
-                ExpansionPlan(max_depth=depth),
-                tau=self.cfg.tau,
-                edge_elements=self.cfg.edge_elements,
-                threads=self.cfg.threads,
-            )
-            self.seconds[label] = round(time.perf_counter() - started, 6)
-            verdict = check_psd(self._raw[key])
-            self.psd[label] = {
-                "psd": verdict.psd, "min_eig": verdict.min_eig, "max_eig": verdict.max_eig,
-            }
+            self._compute(gamma)
         if not normalized:
             return self._raw[key].values
         if key not in self._normalized:
             self._normalized[key] = normalize_gram(self._raw[key])
         return self._normalized[key].values
+
+    def _compute(self, gamma: float) -> None:
+        depths = tuple(int(h) for h in self.cfg.depths)
+        deepest = max(depths)
+        started = time.perf_counter()
+        grams = compute_gram(
+            self.ds,
+            SimilarityParams(gamma=gamma),
+            ExpansionPlan(max_depth=deepest),
+            tau=self.cfg.tau,
+            edge_elements=self.cfg.edge_elements,
+            threads=self.cfg.threads,
+            depths=depths,
+        )
+        label = f"{self.prefix}gamma={gamma:g},H={deepest}"
+        self.seconds[label] = round(time.perf_counter() - started, 6)
+        for depth, gram in grams.items():
+            self._raw[(float(gamma), depth)] = gram
+            verdict = check_psd(gram)
+            self.psd[f"{self.prefix}gamma={gamma:g},H={depth}"] = {
+                "psd": verdict.psd, "min_eig": verdict.min_eig, "max_eig": verdict.max_eig,
+            }
 
 
 def _fit_and_score(values, labels, train_idx, eval_idx, cost) -> tuple[float, int]:

@@ -37,4 +37,4 @@ def nask_kernel(
     ctx: KernelContext,
 ) -> float:
     """Kernel value summed over expansion depths 1..min(H, |Vg|, |Vh|)."""
-    return ctx.pair_value(g, h, plan.max_depth)
+    return ctx.pair_value(g, h, plan.max_depth)[-1]

@@ -132,25 +132,27 @@ def matrix_digest(values: np.ndarray) -> str:
 _WORKER_STATE: dict = {}
 
 
-def _pair_values(span) -> list[float]:
+def _pair_values(span) -> np.ndarray:
     """Kernel values of the upper-triangle entries lo..hi-1, in order.
 
-    The job (ctx, graphs, depth, rows, cols) is the one compute_gram left in
+    One row per entry and one column per kept depth. The job (ctx, graphs,
+    depth, columns, rows, cols) is the one compute_gram left in
     _WORKER_STATE; forked pool workers inherit it.
     """
-    ctx, graphs, depth, rows, cols = _WORKER_STATE["job"]
+    ctx, graphs, depth, columns, rows, cols = _WORKER_STATE["job"]
     lo, hi = span
-    values = []
-    for i, j in zip(rows[lo:hi].tolist(), cols[lo:hi].tolist()):
+    values = np.empty((hi - lo, len(columns)))
+    for k, (i, j) in enumerate(zip(rows[lo:hi].tolist(), cols[lo:hi].tolist())):
         try:
-            value = ctx.pair_value(graphs[i], graphs[j], depth)
+            totals = ctx.pair_value(graphs[i], graphs[j], depth)
         except MemoryError as exc:
             raise GramComputeError(f"resource exhaustion while computing pair ({i}, {j})") from exc
         except FloatingPointError as exc:
             raise GramComputeError(f"numeric failure while computing pair ({i}, {j})") from exc
-        if not math.isfinite(value):
+        # a running total that turns non-finite stays so at every deeper depth
+        if not math.isfinite(totals[-1]):
             raise GramComputeError(f"non-finite kernel value at pair ({i}, {j})")
-        values.append(value)
+        values[k] = [totals[c] for c in columns]
     return values
 
 
@@ -162,12 +164,15 @@ def compute_gram(
     edge_elements: str = "auto",
     normalize: bool = False,
     threads: int = 1,
-) -> GramMatrix:
+    depths: tuple | None = None,
+) -> GramMatrix | dict[int, GramMatrix]:
     """Full kernel matrix of a dataset (ranges must be computed already).
 
     Workers split the upper triangle into contiguous blocks; every entry is
     computed by exactly one worker and mirrored, so results do not depend
-    on the worker count.
+    on the worker count. Given `depths`, integers in 1..plan.max_depth, one
+    pass returns {h: the depth-h Gram} for each of them: every pair's depth
+    loop forms the running total of each shallower depth on its way.
     """
     if ds.num_graphs == 0:
         raise DatasetError("no graphs")
@@ -179,6 +184,14 @@ def compute_gram(
         raise ConfigError(f"params must be SimilarityParams, got {type(params).__name__}")
     if not isinstance(plan, ExpansionPlan):
         raise ConfigError(f"plan must be ExpansionPlan, got {type(plan).__name__}")
+    kept = (plan.max_depth,) if depths is None else tuple(depths)
+    if not kept or len(set(kept)) < len(kept) or any(
+        not isinstance(h, int) or isinstance(h, bool) or not 1 <= h <= plan.max_depth
+        for h in kept
+    ):
+        raise ConfigError(
+            f"depths must be distinct integers in 1..{plan.max_depth}, got {depths!r}"
+        )
     ctx = KernelContext(ds.schema, params, tau=tau, edge_elements=edge_elements)
     for index, g in enumerate(ds.graphs):
         try:
@@ -192,31 +205,34 @@ def compute_gram(
     if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
         warnings.warn("fork start method unavailable; computing on one thread")
         threads = 1
-    _WORKER_STATE["job"] = (ctx, ds.graphs, plan.max_depth, rows, cols)
+    columns = [h - 1 for h in kept]
+    _WORKER_STATE["job"] = (ctx, ds.graphs, plan.max_depth, columns, rows, cols)
     try:
         if threads == 1 or n < 4:
             flat = _pair_values((0, rows.size))
         else:
             cuts = [rows.size * k // (threads * 4) for k in range(threads * 4 + 1)]
             with multiprocessing.get_context("fork").Pool(processes=threads) as pool:
-                chunks = pool.map(_pair_values, zip(cuts, cuts[1:]))
-            flat = [value for chunk in chunks for value in chunk]
+                flat = np.concatenate(pool.map(_pair_values, zip(cuts, cuts[1:])))
     finally:
         _WORKER_STATE.clear()
-    values = np.zeros((n, n))
-    values[rows, cols] = flat
-    values[cols, rows] = flat
 
-    meta = GramMeta(
-        dataset_digest=ds.digest,
-        gamma=params.gamma,
-        depth=plan.max_depth,
-        tau=ctx.tau,
-        normalize=False,
-        edge_elements=edge_elements,
-    )
-    gram = GramMatrix(values=values, meta=meta)
-    return normalize_gram(gram) if normalize else gram
+    grams = {}
+    for column, h in enumerate(kept):
+        values = np.zeros((n, n))
+        values[rows, cols] = flat[:, column]
+        values[cols, rows] = flat[:, column]
+        meta = GramMeta(
+            dataset_digest=ds.digest,
+            gamma=params.gamma,
+            depth=h,
+            tau=ctx.tau,
+            normalize=False,
+            edge_elements=edge_elements,
+        )
+        gram = GramMatrix(values=values, meta=meta)
+        grams[h] = normalize_gram(gram) if normalize else gram
+    return grams if depths is not None else grams[plan.max_depth]
 
 
 def normalize_gram(gram: GramMatrix) -> GramMatrix:

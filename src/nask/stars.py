@@ -119,8 +119,12 @@ class KernelContext:
         self._packs[g.graph_id] = pack
         return pack
 
-    def pair_value(self, ga: AttributedGraph, gb: AttributedGraph, max_depth: int) -> float:
-        """Sum of star-pair kernel values over depths 1..min(H, |Va|, |Vb|)."""
+    def pair_value(self, ga: AttributedGraph, gb: AttributedGraph, max_depth: int) -> list[float]:
+        """Running totals of star-pair kernel values after each depth 1..H.
+
+        Entry h-1 sums depths 1..min(h, |Va|, |Vb|), so past the per-pair
+        cap the total repeats, and the last entry is the depth-H kernel.
+        """
         if max_depth < 1:
             raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
         pa, pb = self.register(ga), self.register(gb)
@@ -129,17 +133,20 @@ class KernelContext:
         if self.use_edges:
             p_edges = similarity_matrix(pa.edge_pack, pb.edge_pack, self.params)
         weights = np.where(p_nodes >= self.tau, p_nodes, 0.0)
+        cap = min(max_depth, pa.n, pb.n)
+        totals = []
         total = 0.0
-        for h in range(1, min(max_depth, pa.n, pb.n) + 1):
+        for h in range(1, cap + 1):
             ball_a, einc_a = pa.family(h)
             ball_b, einc_b = pb.family(h)
             m = ball_a @ p_nodes @ ball_b.T
             if p_edges is not None:
                 m = m + einc_a @ p_edges @ einc_b.T
             total += float((weights * m).sum())
-        return total
+            totals.append(total)
+        return totals + [total] * (max_depth - cap)
 
 
 def graph_kernel_KS(g: AttributedGraph, h: AttributedGraph, ctx: KernelContext) -> float:
     """Sum of star-pair kernel values over all |Vg| x |Vh| depth-1 pairs."""
-    return ctx.pair_value(g, h, max_depth=1)
+    return ctx.pair_value(g, h, max_depth=1)[0]

@@ -208,7 +208,7 @@ class TestCv:
         assert code == 2
         assert "unknown keys: bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("grid", [{"gammas": ["x"]}, {"depths": [1.5]}])
+    @pytest.mark.parametrize("grid", [{"gammas": ["x"]}, {"depths": [1.5]}, {"depths": [2, 2]}])
     def test_bad_run_file_grid_entry_rejected(self, tu_dir, tmp_path, capsys, grid):
         run_file = tmp_path / "run.json"
         run_file.write_text(json.dumps({**grid, "folds": 3, "repeats": 1}))

@@ -16,6 +16,7 @@ from nask.evaluate import (
     cross_validate,
     stratified_folds,
 )
+from nask.gram import compute_gram
 from nask.svm import train_ovr
 
 from conftest import graph_with
@@ -131,6 +132,10 @@ class TestCvConfig:
             dict(costs=(-1.0,)),
             dict(range_mode="loose"),
             dict(depths=(1.5,)),
+            dict(gammas=(1.0, 1)),
+            dict(depths=(2, 2)),
+            dict(normalize_options=(True, True)),
+            dict(costs=(1.0, 10.0, 1.0)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -222,6 +227,29 @@ class TestCrossValidate:
         # machine (three per fit) of every inner and outer fit is unconverged
         fits = cfg.folds * (len(cfg.grid()) * cfg.inner_folds + 1)
         assert report.environment["convergence_warnings"] == 3 * fits
+
+    @pytest.mark.parametrize(("range_mode", "passes"), [("full", 2), ("per-fold", 4)])
+    def test_one_kernel_pass_per_gamma(self, monkeypatch, range_mode, passes):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs["depths"])
+            return compute_gram(*args, **kwargs)
+
+        monkeypatch.setattr(nask.evaluate, "compute_gram", counted)
+        cfg = CvConfig(folds=2, repeats=1, inner_folds=2, gammas=(0.5, 2.0), depths=(1, 3, 4),
+                       normalize_options=(True,), costs=(1.0,), range_mode=range_mode)
+        report = cross_validate(noisy_dataset(), cfg)
+        assert calls == [(1, 3, 4)] * passes
+        prefixes = [""] if range_mode == "full" else ["repeat=0,fold=0,", "repeat=0,fold=1,"]
+        env = report.environment
+        assert set(env["gram_psd"]) == {
+            f"{prefix}gamma={g},H={h}" for prefix in prefixes for g in ("0.5", "2")
+            for h in (1, 3, 4)
+        }
+        assert set(env["gram_seconds"]) == {
+            f"{prefix}gamma={g},H=4" for prefix in prefixes for g in ("0.5", "2")
+        }
 
     def test_per_fold_ranges_drop_the_transductive_note(self):
         rng = np.random.default_rng(41)

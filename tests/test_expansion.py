@@ -137,6 +137,16 @@ class TestNaskKernel:
         at_five = nask_kernel(g0, g1, ExpansionPlan(max_depth=5), ctx)
         assert at_two == at_five
 
+    def test_pair_value_gives_every_running_total(self, cat_schema):
+        g0 = graph_with(0, 2, [(0, 1)], [(0,)] * 2)
+        g1 = graph_with(1, 6, [(i, i + 1) for i in range(5)], [(0,)] * 6)
+        ctx = KernelContext(cat_schema)
+        totals = ctx.pair_value(g0, g1, 5)
+        assert totals == [
+            nask_kernel(g0, g1, ExpansionPlan(max_depth=h), ctx) for h in range(1, 6)
+        ]
+        assert totals[2:] == [totals[1]] * 3  # capped at |V0| = 2
+
     def test_single_node_graph_against_path_matches_oracle(self, cat_schema):
         g0 = graph_with(0, 1, [], [(1,)])
         g1 = graph_with(1, 5, [(i, i + 1) for i in range(4)], [(0,), (1,), (2,), (1,), (3,)])

@@ -58,6 +58,25 @@ PINNED_GRAM_SHA256 = {
 }
 
 
+def large_dataset():
+    """Twelve graphs of 100-300 nodes with categorical edge labels."""
+    schema = synth.mixed_schema(n_cat=1, n_num=2, edge_cat=1, cat_card=5)
+    graphs = synth.random_graph_set(9, 12, schema, min_nodes=100, max_nodes=300)
+    return compute_ranges(synth.dataset_from_graphs(graphs, "large12", schema))
+
+
+def tiny_dataset():
+    """Six graphs of 1-4 nodes, two of them single-node: at H=5 every pair
+    is capped by a graph order, so its running total repeats."""
+    schema = synth.mixed_schema(n_cat=1, n_num=1, edge_cat=1)
+    rng = np.random.default_rng(13)
+    graphs = [
+        synth.random_graph(rng, schema, graph_id=i, min_nodes=n, max_nodes=n)
+        for i, n in enumerate((1, 2, 1, 3, 4, 4))
+    ]
+    return compute_ranges(synth.dataset_from_graphs(graphs, "tiny6", schema))
+
+
 def pinned_gram(name):
     """The Gram behind each PINNED_GRAM_SHA256 entry."""
     params = SimilarityParams(gamma=1.0)
@@ -67,11 +86,20 @@ def pinned_gram(name):
     if name == "wide6-200-H4":
         ds = compute_ranges(synth.wide_attribute_dataset(seed=11, count=200))
         return compute_gram(ds, params, ExpansionPlan(max_depth=4), threads=2)
-    # 100-300 nodes, categorical edge labels, pruned center weights
-    schema = synth.mixed_schema(n_cat=1, n_num=2, edge_cat=1, cat_card=5)
-    graphs = synth.random_graph_set(9, 12, schema, min_nodes=100, max_nodes=300)
-    ds = compute_ranges(synth.dataset_from_graphs(graphs, "large12", schema))
-    return compute_gram(ds, params, ExpansionPlan(max_depth=3), tau=0.6)
+    # pruned center weights
+    return compute_gram(large_dataset(), params, ExpansionPlan(max_depth=3), tau=0.6)
+
+
+def sha256(gram) -> str:
+    return hashlib.sha256(gram.values.tobytes()).hexdigest()
+
+
+# (dataset, deepest depth, tau, worker counts) of the one-pass prefix checks
+PREFIX_SETS = {
+    "bench2-H4": (lambda: compute_ranges(synth.benchmark_dataset(seed=7)), 4, 0.0, (1, 2)),
+    "large-H3-tau0.6": (large_dataset, 3, 0.6, (1,)),
+    "tiny6-H5": (tiny_dataset, 5, 0.0, (1, 3)),
+}
 
 
 def small_dataset(seed=31, count=12, name="gramtest"):
@@ -204,8 +232,53 @@ class TestComputeGram:
 
     @pytest.mark.parametrize("name", sorted(PINNED_GRAM_SHA256))
     def test_values_match_the_pinned_digest(self, name):
-        values = pinned_gram(name).values
-        assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_GRAM_SHA256[name]
+        assert sha256(pinned_gram(name)) == PINNED_GRAM_SHA256[name]
+
+
+class TestDepthPrefixes:
+    """One pass at depth H yields the Gram of every depth 1..H."""
+
+    @pytest.mark.parametrize("name", sorted(PREFIX_SETS))
+    def test_each_depth_equals_its_own_compute(self, name):
+        make, deepest, tau, worker_counts = PREFIX_SETS[name]
+        ds = make()
+        params = SimilarityParams(gamma=1.0)
+        depths = tuple(range(1, deepest + 1))
+        # a pinned digest stands for the deepest separate Gram of its set
+        separate = {deepest: PINNED_GRAM_SHA256[name]} if name in PINNED_GRAM_SHA256 else {}
+        for h in depths:
+            if h not in separate:
+                separate[h] = sha256(compute_gram(ds, params, ExpansionPlan(max_depth=h), tau=tau))
+        for threads in worker_counts:
+            grams = compute_gram(
+                ds, params, ExpansionPlan(max_depth=deepest), tau=tau, threads=threads,
+                depths=depths,
+            )
+            assert list(grams) == list(depths)
+            assert {h: sha256(gram) for h, gram in grams.items()} == separate
+            assert [gram.meta.depth for gram in grams.values()] == list(depths)
+
+    def test_single_node_rows_repeat_past_the_cap(self):
+        ds = tiny_dataset()
+        grams = compute_gram(ds, plan=ExpansionPlan(max_depth=5), depths=(1, 5))
+        single = [i for i, g in enumerate(ds.graphs) if g.num_nodes == 1]
+        assert len(single) == 2
+        assert np.array_equal(grams[1].values[single], grams[5].values[single])
+        assert not np.array_equal(grams[1].values, grams[5].values)
+
+    def test_kept_depths_only(self):
+        ds = small_dataset(count=6)
+        grams = compute_gram(ds, plan=ExpansionPlan(max_depth=3), normalize=True, depths=(3, 1))
+        assert list(grams) == [3, 1]
+        for h, gram in grams.items():
+            alone = compute_gram(ds, plan=ExpansionPlan(max_depth=h), normalize=True)
+            assert gram.values.tobytes() == alone.values.tobytes()
+            assert gram.meta == alone.meta
+
+    @pytest.mark.parametrize("depths", [(), (0,), (4,), (2, 2), (True,), (1.0,)])
+    def test_bad_depths_rejected(self, depths):
+        with pytest.raises(ConfigError, match="depths"):
+            compute_gram(small_dataset(count=4), plan=ExpansionPlan(max_depth=3), depths=depths)
 
 
 class TestNormalize:
