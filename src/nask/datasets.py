@@ -337,13 +337,16 @@ def compute_ranges(ds: Dataset, graph_indices=None) -> Dataset:
             lambda g: (vec for _, vec in (g.edge_attrs or ())),
         ),
     )
-    return Dataset(
+    ranged_ds = Dataset(
         name=ds.name,
         schema=schema,
         graphs=ds.graphs,
         labels=ds.labels,
         class_values=ds.class_values,
     )
+    if "digest" in vars(ds):  # the digest ignores ranges; keep one, never compute one
+        ranged_ds.__dict__["digest"] = ds.digest
+    return ranged_ds
 
 
 def validate_dataset(ds: Dataset) -> dict:

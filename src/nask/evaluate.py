@@ -2,20 +2,27 @@
 
 The outer loop measures accuracy on held-out folds; hyperparameters
 (gamma, depth, normalization, C) are chosen per outer fold by an inner
-cross-validation on the training portion only. Kernel matrices are
-computed once per gamma on the full dataset, one pass yielding every grid
-depth, and sub-indexed per fold: kernel values between two graphs do not
-depend on the split, only the dataset-wide attribute ranges do, and that
-transductive caveat is stamped into every report. A per-fold range mode recomputes ranges from
-training graphs only, for auditing the effect. Each Gram is checked for
-PSD when it is computed; SVM fits that hit their update cap are counted
-from the models into `environment.convergence_warnings`.
+cross-validation on the training portion only. A run takes three steps:
+
+1. A kernel table maps each grid (gamma, depth, normalize) to its matrix,
+   one kernel pass per gamma yielding every grid depth, with a PSD check
+   of each raw Gram. It is built once on the full dataset and sub-indexed
+   per fold: kernel values between two graphs do not depend on the split,
+   only the dataset-wide attribute ranges do, and that transductive caveat
+   is stamped into every report. A per-fold range mode builds a table per
+   fold from training-graph ranges only, for auditing the effect.
+2. A cost sweep slices one table entry's train and held-out blocks once
+   and fits every cost on them, counting the machines that hit their
+   update cap into `environment.convergence_warnings`.
+3. Selection averages each grid point's inner accuracies and picks the
+   first maximum in the canonical grid order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 import warnings
 from dataclasses import asdict, dataclass
@@ -38,6 +45,7 @@ TRANSDUCTIVE_NOTE = (
 )
 
 RANGE_MODES = ("full", "per-fold")
+_GRID_KEYS = ("gamma", "H", "normalize", "C")  # report names of a grid point's fields
 
 
 @dataclass(frozen=True)
@@ -70,12 +78,12 @@ class CvConfig:
                 raise ConfigError(f"{name} must be a non-empty grid")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {values!r}")
-        if any(g <= 0 for g in self.gammas):
-            raise ConfigError("gammas must be positive")
+        if not all(math.isfinite(g) and g > 0 for g in self.gammas):
+            raise ConfigError("gammas must be finite and positive")
         if any(int(h) != h or h < 1 for h in self.depths):
             raise ConfigError("depths must be integers >= 1")
-        if any(c <= 0 for c in self.costs):
-            raise ConfigError("costs must be positive")
+        if not all(math.isfinite(c) and c > 0 for c in self.costs):
+            raise ConfigError("costs must be finite and positive")
         if self.range_mode not in RANGE_MODES:
             raise ConfigError(f"range_mode must be one of {RANGE_MODES}")
 
@@ -189,65 +197,53 @@ def stratified_folds(labels, k: int, seed) -> list[np.ndarray]:
     return [np.array(sorted(fold), dtype=np.int64) for fold in folds]
 
 
-class _GramBank:
-    """Lazy per-gamma Gram matrices for every grid depth, with normalized variants.
+def _kernel_table(ds: Dataset, cfg: CvConfig, prefix: str, seconds: dict, psd: dict) -> dict:
+    """Every grid (gamma, depth, normalize) matrix of `ds`, one kernel pass per gamma.
 
-    One compute_gram pass per gamma yields the Gram of each depth in the
-    grid, and every raw Gram gets a spectral PSD verdict. `psd` is keyed
-    `{prefix}gamma=...,H=...` per Gram; `seconds` has one entry per pass,
-    keyed by its deepest depth.
+    A pass at the deepest grid depth yields the Gram of each grid depth, and
+    every raw Gram gets a spectral PSD verdict. `psd` gains one entry per
+    Gram, keyed `{prefix}gamma=G,H=D`; `seconds` one per pass, keyed by its
+    deepest depth.
     """
-
-    def __init__(self, ds: Dataset, cfg: CvConfig, prefix: str = ""):
-        self.ds = ds
-        self.cfg = cfg
-        self.prefix = prefix
-        self._raw: dict = {}
-        self._normalized: dict = {}
-        self.seconds: dict = {}
-        self.psd: dict = {}
-
-    def matrix(self, gamma: float, depth: int, normalized: bool) -> np.ndarray:
-        key = (float(gamma), int(depth))
-        if key not in self._raw:
-            self._compute(gamma)
-        if not normalized:
-            return self._raw[key].values
-        if key not in self._normalized:
-            self._normalized[key] = normalize_gram(self._raw[key])
-        return self._normalized[key].values
-
-    def _compute(self, gamma: float) -> None:
-        depths = tuple(int(h) for h in self.cfg.depths)
-        deepest = max(depths)
+    depths = tuple(int(h) for h in cfg.depths)
+    deepest = max(depths)
+    table = {}
+    for gamma in cfg.gammas:
         started = time.perf_counter()
         grams = compute_gram(
-            self.ds,
+            ds,
             SimilarityParams(gamma=gamma),
             ExpansionPlan(max_depth=deepest),
-            tau=self.cfg.tau,
-            edge_elements=self.cfg.edge_elements,
-            threads=self.cfg.threads,
+            tau=cfg.tau,
+            edge_elements=cfg.edge_elements,
+            threads=cfg.threads,
             depths=depths,
         )
-        label = f"{self.prefix}gamma={gamma:g},H={deepest}"
-        self.seconds[label] = round(time.perf_counter() - started, 6)
+        seconds[f"{prefix}gamma={gamma:g},H={deepest}"] = round(time.perf_counter() - started, 6)
         for depth, gram in grams.items():
-            self._raw[(float(gamma), depth)] = gram
             verdict = check_psd(gram)
-            self.psd[f"{self.prefix}gamma={gamma:g},H={depth}"] = {
+            psd[f"{prefix}gamma={gamma:g},H={depth}"] = {
                 "psd": verdict.psd, "min_eig": verdict.min_eig, "max_eig": verdict.max_eig,
             }
+            for normalize in cfg.normalize_options:
+                table[gamma, depth, normalize] = (normalize_gram(gram) if normalize else gram).values
+    return table
 
 
-def _fit_and_score(values, labels, train_idx, eval_idx, cost) -> tuple[float, int]:
-    """Held-out accuracy and the count of unconverged machines, whose warnings are muted."""
+def _cost_sweep(values, labels, train_idx, eval_idx, costs) -> tuple[list, int]:
+    """Held-out accuracy of one fit per cost, in order, on blocks sliced once,
+    and the count of unconverged machines, whose warnings are muted."""
+    train_block = values[np.ix_(train_idx, train_idx)]
+    eval_block = values[np.ix_(eval_idx, train_idx)]
+    train_labels, eval_labels = labels[train_idx], labels[eval_idx]
+    accuracies, unconverged = [], 0
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = train_ovr(values[np.ix_(train_idx, train_idx)], labels[train_idx], cost)
-        predicted = predict(model, values[np.ix_(eval_idx, train_idx)])
-    accuracy = float(np.mean(predicted == labels[eval_idx]))
-    return accuracy, sum(not m.converged for m in model.machines)
+        for cost in costs:
+            model = train_ovr(train_block, train_labels, cost)
+            accuracies.append(float(np.mean(predict(model, eval_block) == eval_labels)))
+            unconverged += sum(not m.converged for m in model.machines)
+    return accuracies, unconverged
 
 
 def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
@@ -260,9 +256,20 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
     if ds.num_classes < 2:
         raise ConfigError("cross-validation needs at least 2 classes")
     grid = cfg.grid()
+    selections = cfg.folds * cfg.repeats if len(grid) > 1 else 0
+    smallest_train = n - math.ceil(n / cfg.folds)
+    if selections and cfg.inner_folds > smallest_train:
+        raise ConfigError(
+            f"cannot run {cfg.inner_folds} inner folds on an outer training "
+            f"portion of {smallest_train} graphs"
+        )
+    digest = ds.digest  # read before compute_ranges, whose copies carry it along
     collected: list[str] = []
     convergence_warnings = 0
-    bank = _GramBank(compute_ranges(ds), cfg) if cfg.range_mode == "full" else None
+    gram_seconds: dict = {}
+    gram_psd: dict = {}
+    if cfg.range_mode == "full":
+        table = _kernel_table(compute_ranges(ds), cfg, "", gram_seconds, gram_psd)
 
     def split(fold_labels, k, *seed_path):
         """Stratified folds; fallback warnings go into the report once each."""
@@ -277,56 +284,46 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
 
     fold_entries = []
     outer_accuracies = []
-    pick_counts = {config: 0 for config in grid}
-    inner_sums = {config: [0.0, 0] for config in grid}
-    gram_seconds: dict = {}
-    gram_psd: dict = {}
+    pick_counts = dict.fromkeys(grid, 0)
+    inner_sums = dict.fromkeys(grid, 0.0)
 
     for repeat in range(cfg.repeats):
-        folds = split(labels, cfg.folds, repeat)
-        all_idx = np.arange(n)
-        for fold_id, test_idx in enumerate(folds):
-            train_idx = np.setdiff1d(all_idx, test_idx)
+        for fold_id, test_idx in enumerate(split(labels, cfg.folds, repeat)):
+            train_idx = np.setdiff1d(np.arange(n), test_idx)
             assert not np.intersect1d(train_idx, test_idx).size
-            fold_bank = bank
             if cfg.range_mode == "per-fold":
-                fold_ds = compute_ranges(ds, train_idx)
-                fold_bank = _GramBank(fold_ds, cfg, prefix=f"repeat={repeat},fold={fold_id},")
+                table = None  # drop the last fold's matrices before building this fold's
+                table = _kernel_table(
+                    compute_ranges(ds, train_idx), cfg, f"repeat={repeat},fold={fold_id},",
+                    gram_seconds, gram_psd,
+                )
 
-            def score(config, tr, ev):
-                nonlocal convergence_warnings
-                gamma, depth, normalize, cost = config
-                values = fold_bank.matrix(gamma, depth, normalize)
-                accuracy, unconverged = _fit_and_score(values, labels, tr, ev, cost)
-                convergence_warnings += unconverged
-                return accuracy
-
-            if len(grid) == 1:
-                best = grid[0]
-                best_inner = None
-            else:
+            best, best_inner = grid[0], None
+            if selections:
                 inner = split(labels[train_idx], cfg.inner_folds, repeat, fold_id)
-                inner_global = [train_idx[positions] for positions in inner]
-                inner_pairs = []
-                for val_idx in inner_global:
+                totals = dict.fromkeys(grid, 0.0)
+                for positions in inner:
+                    val_idx = train_idx[positions]
                     assert not np.intersect1d(val_idx, test_idx).size
-                    inner_pairs.append((np.setdiff1d(train_idx, val_idx), val_idx))
-                best, best_inner = None, -1.0
+                    inner_train = np.setdiff1d(train_idx, val_idx)
+                    for key, values in table.items():
+                        accuracies, unconverged = _cost_sweep(
+                            values, labels, inner_train, val_idx, cfg.costs
+                        )
+                        convergence_warnings += unconverged
+                        for cost, accuracy in zip(cfg.costs, accuracies):
+                            totals[(*key, cost)] += accuracy
+                means = {config: totals[config] / len(inner) for config in grid}
                 for config in grid:
-                    total = 0.0
-                    for inner_train, val_idx in inner_pairs:
-                        total += score(config, inner_train, val_idx)
-                    mean_inner = total / len(inner_pairs)
-                    stats = inner_sums[config]
-                    stats[0] += mean_inner
-                    stats[1] += 1
-                    if mean_inner > best_inner:
-                        best, best_inner = config, mean_inner
-            accuracy = score(best, train_idx, test_idx)
+                    inner_sums[config] += means[config]
+                best = max(grid, key=means.__getitem__)  # ties resolve to the first
+                best_inner = means[best]
             gamma, depth, normalize, cost = best
+            (accuracy,), unconverged = _cost_sweep(
+                table[gamma, depth, normalize], labels, train_idx, test_idx, (cost,)
+            )
+            convergence_warnings += unconverged
             pick_counts[best] += 1
-            gram_seconds.update(fold_bank.seconds)
-            gram_psd.update(fold_bank.psd)
             outer_accuracies.append(accuracy)
             fold_entries.append(
                 {
@@ -335,12 +332,7 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                     "test_indices": [int(i) for i in test_idx],
                     "train_size": int(train_idx.size),
                     "accuracy": accuracy,
-                    "selected": {
-                        "gamma": gamma,
-                        "H": depth,
-                        "normalize": normalize,
-                        "C": cost,
-                    },
+                    "selected": dict(zip(_GRID_KEYS, best)),
                     "inner_accuracy": best_inner,
                 }
             )
@@ -352,20 +344,14 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                 "the SVM trained on an indefinite kernel"
             )
     accuracies = np.asarray(outer_accuracies)
-    per_config = []
-    for config in grid:
-        gamma, depth, normalize, cost = config
-        total, count = inner_sums[config]
-        per_config.append(
-            {
-                "gamma": gamma,
-                "H": depth,
-                "normalize": normalize,
-                "C": cost,
-                "times_selected": pick_counts[config],
-                "mean_inner_accuracy": (total / count) if count else None,
-            }
-        )
+    per_config = [
+        {
+            **dict(zip(_GRID_KEYS, config)),
+            "times_selected": pick_counts[config],
+            "mean_inner_accuracy": inner_sums[config] / selections if selections else None,
+        }
+        for config in grid
+    ]
     environment = {
         "tool_version": __version__,
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
@@ -380,7 +366,7 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
             config_obj[key] = list(value)
     return CvReport(
         dataset_name=ds.name,
-        dataset_digest=ds.digest,
+        dataset_digest=digest,
         config=config_obj,
         transductive_note=TRANSDUCTIVE_NOTE if cfg.range_mode == "full" else None,
         warnings=tuple(collected),

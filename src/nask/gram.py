@@ -208,7 +208,7 @@ def compute_gram(
     columns = [h - 1 for h in kept]
     _WORKER_STATE["job"] = (ctx, ds.graphs, plan.max_depth, columns, rows, cols)
     try:
-        if threads == 1 or n < 4:
+        if threads == 1:
             flat = _pair_values((0, rows.size))
         else:
             cuts = [rows.size * k // (threads * 4) for k in range(threads * 4 + 1)]
@@ -249,6 +249,8 @@ def normalize_gram(gram: GramMatrix) -> GramMatrix:
 
 def check_psd(gram, tol: float = 1e-8) -> PsdVerdict:
     """Spectral PSD check: min eigenvalue >= -tol * max(1, max eigenvalue)."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise InvalidGramError(f"psd check needs a square matrix, got shape {values.shape}")

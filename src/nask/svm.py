@@ -12,6 +12,7 @@ prediction needs: support indices, dual coefficients, and the bias.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,8 +85,8 @@ def train_binary(
         raise SvmError("labels must be -1 or +1")
     if not (y > 0).any() or not (y < 0).any():
         raise DegenerateClassError("both label signs are required for training")
-    if C <= 0:
-        raise ConfigError(f"C must be > 0, got {C}")
+    if not (math.isfinite(C) and C > 0):
+        raise ConfigError(f"C must be finite and > 0, got {C}")
     max_iter = 10 * n if max_passes is None else int(max_passes)
 
     Kd = K.diagonal()

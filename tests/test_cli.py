@@ -149,6 +149,11 @@ class TestPsd:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_bad_tolerance_is_a_usage_error(self, gram_file, tol, capsys):
+        assert main(["psd", "--gram", str(gram_file), f"--tol={tol}"]) == 2
+        assert "tol must be finite" in capsys.readouterr().err
+
 
 class TestCv:
     def test_grid_spec_run_writes_report_pair(self, tu_dir, tmp_path, capsys):
@@ -228,6 +233,15 @@ class TestCv:
         assert code == 2
         assert "grid-spec" in capsys.readouterr().err
 
+    def test_non_finite_cost_rejected(self, tu_dir, tmp_path, capsys):
+        code = main([
+            "cv", "--data", str(tu_dir), "--costs", "1,nan",
+            "--folds", "3", "--repeats", "1", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "costs must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
     def test_bad_normalize_token_rejected(self, tu_dir, tmp_path, capsys):
         code = main([
             "cv", "--data", str(tu_dir), "--normalize-grid", "yes",
@@ -287,6 +301,16 @@ class TestClassify:
         ])
         assert code == 2
         assert message in capsys.readouterr().err
+
+    def test_non_finite_cost_rejected(self, tu_dir, gram_file, tmp_path, capsys):
+        train = write_indices(tmp_path / "train.idx", range(18))
+        test = write_indices(tmp_path / "test.idx", range(18, 24))
+        code = main([
+            "classify", "--gram", str(gram_file), "--labels-from", str(tu_dir),
+            "--train-idx", str(train), "--test-idx", str(test), "--C", "nan",
+        ])
+        assert code == 2
+        assert "C must be finite" in capsys.readouterr().err
 
     def test_non_integer_index_rejected(self, tu_dir, gram_file, tmp_path, capsys):
         train_path = tmp_path / "train.idx"

@@ -7,7 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
+import nask.datasets
 import nask.evaluate
+from nask.datasets import canonical_digest, compute_ranges
 from nask.errors import ConfigError
 from nask.evaluate import (
     TRANSDUCTIVE_NOTE,
@@ -136,6 +138,10 @@ class TestCvConfig:
             dict(depths=(2, 2)),
             dict(normalize_options=(True, True)),
             dict(costs=(1.0, 10.0, 1.0)),
+            dict(gammas=(float("nan"),)),
+            dict(gammas=(float("inf"),)),
+            dict(costs=(float("nan"),)),
+            dict(costs=(1.0, float("inf"))),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -284,6 +290,32 @@ class TestCrossValidate:
             "Gram gamma=10,H=2 is not positive semidefinite (see environment.gram_psd); "
             "the SVM trained on an indefinite kernel"
         ]
+
+    def test_impossible_inner_split_fails_before_any_kernel_pass(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(nask.evaluate, "compute_gram", lambda *a, **k: calls.append(k))
+        ds = easy_dataset(count=6)
+        # a 2-fold outer split leaves 3 training graphs: too few for 4 inner folds
+        with pytest.raises(ConfigError, match="inner folds"):
+            cross_validate(ds, CvConfig(folds=2, repeats=1, inner_folds=4, **SMALL_GRID))
+        assert calls == []
+
+    @pytest.mark.parametrize("range_mode", ["full", "per-fold"])
+    def test_dataset_digest_computed_once(self, monkeypatch, range_mode):
+        calls = []
+
+        def counted(ds):
+            calls.append(ds.name)
+            return canonical_digest(ds)
+
+        monkeypatch.setattr(nask.datasets, "canonical_digest", counted)
+        ds = noisy_dataset()
+        compute_ranges(ds)  # keeps a cached digest but never computes one
+        assert calls == []
+        cfg = CvConfig(folds=3, repeats=1, range_mode=range_mode, **SMALL_GRID)
+        report = cross_validate(ds, cfg)
+        assert calls == ["noisy3"]
+        assert report.dataset_digest == canonical_digest(ds)
 
     def test_too_many_folds_rejected(self):
         ds = easy_dataset(count=6)

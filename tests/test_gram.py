@@ -155,6 +155,14 @@ class TestComputeGram:
         four = compute_gram(ds, threads=4)
         assert one.values.tobytes() == four.values.tobytes()
 
+    @pytest.mark.parametrize("count", [1, 2, 3])
+    def test_pool_matches_one_thread_on_tiny_sets(self, count):
+        # fewer upper-triangle entries than pool chunks leaves some chunks empty
+        ds = small_dataset(seed=33, count=count)
+        one = compute_gram(ds, threads=1)
+        three = compute_gram(ds, threads=3)
+        assert one.values.tobytes() == three.values.tobytes()
+
     def test_blas_thread_count_does_not_change_bytes(self):
         tests = Path(__file__).resolve().parent
         digests = {}
@@ -332,6 +340,11 @@ class TestCheckPsd:
     def test_requires_square(self):
         with pytest.raises(InvalidGramError):
             check_psd(np.ones((2, 3)))
+
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    def test_tolerance_must_be_finite_and_nonnegative(self, tol):
+        with pytest.raises(ConfigError, match="tol"):
+            check_psd(np.eye(3), tol=tol)
 
 
 class TestFileFormat:

@@ -215,8 +215,9 @@ class TestValidation:
             train_binary(np.eye(3), np.array([1.0, -1.0]), C=1.0)
 
     def test_cost_must_be_positive(self):
-        with pytest.raises(ConfigError):
-            train_binary(np.eye(2), np.array([1.0, -1.0]), C=0.0)
+        for cost in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ConfigError, match="finite"):
+                train_binary(np.eye(2), np.array([1.0, -1.0]), C=cost)
 
     def test_decision_function_width_checked(self):
         model = train_ovr(np.eye(4), np.array([0, 1, 0, 1]), C=1.0)
