@@ -1,4 +1,17 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the number-type
+tests that parameter validators raise ConfigError on."""
+
+import numbers
+
+
+def is_integer(value) -> bool:
+    """A Python or numpy integer; bools are not parameters' integers."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A Python or numpy real number, bools excluded."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 class NaskError(Exception):

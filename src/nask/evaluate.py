@@ -31,7 +31,7 @@ from datetime import datetime, timezone
 import numpy as np
 
 from .datasets import Dataset, compute_ranges
-from .errors import ConfigError
+from .errors import ConfigError, is_integer, is_real
 from .expansion import ExpansionPlan
 from .gram import check_psd, compute_gram, normalize_gram
 from .similarity import SimilarityParams
@@ -66,23 +66,21 @@ class CvConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.folds < 2:
-            raise ConfigError(f"folds must be >= 2, got {self.folds}")
-        if self.repeats < 1:
-            raise ConfigError(f"repeats must be >= 1, got {self.repeats}")
-        if self.inner_folds < 2:
-            raise ConfigError(f"inner_folds must be >= 2, got {self.inner_folds}")
+        for name, least in (("folds", 2), ("repeats", 1), ("inner_folds", 2), ("threads", 1)):
+            value = getattr(self, name)
+            if not is_integer(value) or value < least:
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         for name in ("gammas", "depths", "normalize_options", "costs"):
             values = getattr(self, name)
             if not values:
                 raise ConfigError(f"{name} must be a non-empty grid")
             if len(set(values)) < len(values):
                 raise ConfigError(f"{name} must not repeat a value, got {values!r}")
-        if not all(math.isfinite(g) and g > 0 for g in self.gammas):
+        if not all(is_real(g) and math.isfinite(g) and g > 0 for g in self.gammas):
             raise ConfigError("gammas must be finite and positive")
-        if any(int(h) != h or h < 1 for h in self.depths):
+        if not all(is_integer(h) and h >= 1 for h in self.depths):
             raise ConfigError("depths must be integers >= 1")
-        if not all(math.isfinite(c) and c > 0 for c in self.costs):
+        if not all(is_real(c) and math.isfinite(c) and c > 0 for c in self.costs):
             raise ConfigError("costs must be finite and positive")
         if self.range_mode not in RANGE_MODES:
             raise ConfigError(f"range_mode must be one of {RANGE_MODES}")

@@ -1,9 +1,12 @@
 """Gram-matrix computation, normalization, PSD validation, persistence.
 
-Entries are computed per upper-triangle pair and mirrored, so the matrix
-is exactly symmetric as stored. Each (i, j) entry is computed by exactly
-one worker with a fixed per-entry evaluation order, which makes the output
-byte-identical across --threads settings. Files use a small text format:
+On the indicator engine entries are computed per upper-triangle pair and
+mirrored, each (i, j) entry by exactly one worker of a fork pool. On the
+feature map (see stars.py) every entry is formed in this process, a block
+of rows at a time, from the graphs' stacked feature vectors, by the same
+elementwise product-and-sum as a single pair. Either way the per-entry
+evaluation order is fixed, so the matrix is exactly symmetric as stored
+and byte-identical across --threads settings. Files use a small text format:
 a version header, one-line JSON metadata, the dimension, then rows of
 space-separated reals at 17 significant digits (bit-exact round trip).
 """
@@ -27,6 +30,8 @@ from .errors import (
     GramComputeError,
     GramFormatError,
     InvalidGramError,
+    is_integer,
+    is_real,
 )
 from .expansion import ExpansionPlan
 from .similarity import SimilarityParams
@@ -37,15 +42,11 @@ _HEADER = "NASK-GRAM v1"
 _META_KEYS = ("dataset_digest", "gamma", "H", "tau", "normalize", "edge_elements", "version")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 _META_CHECKS = {
     "normalize": lambda v: isinstance(v, bool),
-    "H": lambda v: isinstance(v, int) and not isinstance(v, bool) and v >= 1,
-    "gamma": lambda v: _is_number(v) and math.isfinite(v) and v > 0,
-    "tau": lambda v: _is_number(v) and 0.0 <= v < 1.0,
+    "H": lambda v: is_integer(v) and v >= 1,
+    "gamma": lambda v: is_real(v) and math.isfinite(v) and v > 0,
+    "tau": lambda v: is_real(v) and 0.0 <= v < 1.0,
     "edge_elements": lambda v: v in EDGE_MODES,
 }
 
@@ -130,6 +131,11 @@ def matrix_digest(values: np.ndarray) -> str:
 
 
 _WORKER_STATE: dict = {}
+# Bytes of one row block's (rows x n x features) product temporary on the
+# feature map. A whole n x n x f temporary is ~30 MB on bench2; blocks this
+# small stay in cache and leave the peak resident set where the indicator
+# engine had it.
+_BLOCK_BYTES = 1 << 18
 
 
 def _pair_values(span) -> np.ndarray:
@@ -156,6 +162,47 @@ def _pair_values(span) -> np.ndarray:
     return values
 
 
+def _indicator_tables(ctx, graphs, depth, kept, threads) -> list[np.ndarray]:
+    """The kept depths' n x n tables, pair by pair, split over a fork pool."""
+    n = len(graphs)
+    rows, cols = np.triu_indices(n)
+    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        warnings.warn("fork start method unavailable; computing on one thread")
+        threads = 1
+    _WORKER_STATE["job"] = (ctx, graphs, depth, [h - 1 for h in kept], rows, cols)
+    try:
+        if threads == 1:
+            flat = _pair_values((0, rows.size))
+        else:
+            cuts = [rows.size * k // (threads * 4) for k in range(threads * 4 + 1)]
+            with multiprocessing.get_context("fork").Pool(processes=threads) as pool:
+                flat = np.concatenate(pool.map(_pair_values, zip(cuts, cuts[1:])))
+    finally:
+        _WORKER_STATE.clear()
+    tables = []
+    for column in range(len(kept)):
+        values = np.zeros((n, n))
+        values[rows, cols] = flat[:, column]
+        values[cols, rows] = flat[:, column]
+        tables.append(values)
+    return tables
+
+
+def _feature_tables(ctx, packs, depth, kept) -> list[np.ndarray]:
+    """The kept depths' n x n tables from stacked feature vectors, a block
+    of rows at a time, in this process: each entry is the sum pair_value
+    forms for its pair, so it has the same bits."""
+    features = np.stack([pack.features(depth) for pack in packs], axis=1)  # (H, n, f)
+    n = features.shape[1]
+    tables = [np.empty((n, n)) for _ in kept]
+    step = max(1, _BLOCK_BYTES // (8 * n * features.shape[2]))
+    for lo in range(0, n, step):
+        totals = ctx.feature_totals(features[:, lo:lo + step], features)
+        for table, h in zip(tables, kept):
+            table[lo:lo + step] = totals[h - 1]
+    return tables
+
+
 def compute_gram(
     ds: Dataset,
     params: SimilarityParams | None = None,
@@ -168,16 +215,19 @@ def compute_gram(
 ) -> GramMatrix | dict[int, GramMatrix]:
     """Full kernel matrix of a dataset (ranges must be computed already).
 
-    Workers split the upper triangle into contiguous blocks; every entry is
-    computed by exactly one worker and mirrored, so results do not depend
-    on the worker count. Given `depths`, integers in 1..plan.max_depth, one
-    pass returns {h: the depth-h Gram} for each of them: every pair's depth
-    loop forms the running total of each shallower depth on its way.
+    On the feature map (see stars.py) every entry is a weighted inner
+    product of two graphs' feature vectors, formed in this process and
+    `threads` is not used. Otherwise workers split the upper triangle into
+    contiguous blocks; every entry is computed by exactly one worker and
+    mirrored. Either way results do not depend on the worker count. Given
+    `depths`, integers in 1..plan.max_depth, one pass returns {h: the
+    depth-h Gram} for each of them: every pair's depth loop forms the
+    running total of each shallower depth on its way.
     """
     if ds.num_graphs == 0:
         raise DatasetError("no graphs")
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
+    if not is_integer(threads) or threads < 1:
+        raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
     params = params if params is not None else SimilarityParams()
     plan = plan if plan is not None else ExpansionPlan()
     if not isinstance(params, SimilarityParams):
@@ -186,42 +236,31 @@ def compute_gram(
         raise ConfigError(f"plan must be ExpansionPlan, got {type(plan).__name__}")
     kept = (plan.max_depth,) if depths is None else tuple(depths)
     if not kept or len(set(kept)) < len(kept) or any(
-        not isinstance(h, int) or isinstance(h, bool) or not 1 <= h <= plan.max_depth
-        for h in kept
+        not is_integer(h) or not 1 <= h <= plan.max_depth for h in kept
     ):
         raise ConfigError(
             f"depths must be distinct integers in 1..{plan.max_depth}, got {depths!r}"
         )
+    kept = tuple(int(h) for h in kept)
     ctx = KernelContext(ds.schema, params, tau=tau, edge_elements=edge_elements)
+    packs = []
     for index, g in enumerate(ds.graphs):
         try:
             pack = ctx.register(g)
-            pack.family(min(plan.max_depth, pack.n))  # warm caches before forking
+            if ctx.feature_weights is not None:
+                pack.features(plan.max_depth)
+            else:
+                pack.family(min(plan.max_depth, pack.n))  # warm caches before forking
         except MemoryError as exc:
             raise GramComputeError(f"resource exhaustion while packing graph {index}") from exc
-    n = ds.num_graphs
-    rows, cols = np.triu_indices(n)
+        packs.append(pack)
 
-    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        warnings.warn("fork start method unavailable; computing on one thread")
-        threads = 1
-    columns = [h - 1 for h in kept]
-    _WORKER_STATE["job"] = (ctx, ds.graphs, plan.max_depth, columns, rows, cols)
-    try:
-        if threads == 1:
-            flat = _pair_values((0, rows.size))
-        else:
-            cuts = [rows.size * k // (threads * 4) for k in range(threads * 4 + 1)]
-            with multiprocessing.get_context("fork").Pool(processes=threads) as pool:
-                flat = np.concatenate(pool.map(_pair_values, zip(cuts, cuts[1:])))
-    finally:
-        _WORKER_STATE.clear()
-
+    if ctx.feature_weights is not None:
+        tables = _feature_tables(ctx, packs, plan.max_depth, kept)
+    else:
+        tables = _indicator_tables(ctx, ds.graphs, plan.max_depth, kept, int(threads))
     grams = {}
-    for column, h in enumerate(kept):
-        values = np.zeros((n, n))
-        values[rows, cols] = flat[:, column]
-        values[cols, rows] = flat[:, column]
+    for values, h in zip(tables, kept):
         meta = GramMeta(
             dataset_digest=ds.digest,
             gamma=params.gamma,

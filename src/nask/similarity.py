@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, is_real
 from .graph import CATEGORICAL, DimensionSpec, validate_vector
 
 
@@ -26,10 +26,12 @@ class SimilarityParams:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (isinstance(self.gamma, (int, float)) and math.isfinite(self.gamma)):
+        if not (is_real(self.gamma) and math.isfinite(self.gamma)):
             raise ConfigError(f"gamma must be a finite real, got {self.gamma!r}")
         if self.gamma <= 0:
             raise ConfigError(f"gamma must be > 0, got {self.gamma}")
+        if not isinstance(self.gamma, (int, float)):  # numpy scalars
+            object.__setattr__(self, "gamma", float(self.gamma))
 
 
 class PackedAttrs:

@@ -142,11 +142,21 @@ class TestCvConfig:
             dict(gammas=(float("inf"),)),
             dict(costs=(float("nan"),)),
             dict(costs=(1.0, float("inf"))),
+            dict(depths=(True,)),
+            dict(gammas=(True,)),
+            dict(costs=(True,)),
+            dict(folds=True),
+            dict(threads=True),
+            dict(threads=0),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ConfigError):
             CvConfig(**kwargs)
+
+    def test_numpy_integers_are_accepted(self):
+        cfg = CvConfig(folds=np.int64(3), threads=np.int64(2), depths=(np.int64(2), 3))
+        assert [point[1] for point in cfg.grid()[::14]] == [2, 3] * 3
 
 
 class TestCrossValidate:

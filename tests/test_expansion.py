@@ -81,6 +81,13 @@ class TestNaskKernel:
         with pytest.raises(ConfigError):
             ExpansionPlan(max_depth=0)
 
+    def test_plan_depth_must_be_an_integer_not_a_bool(self):
+        for bad in (True, 2.0, np.True_):
+            with pytest.raises(ConfigError, match="max_depth"):
+                ExpansionPlan(max_depth=bad)
+        depth = ExpansionPlan(max_depth=np.int64(3)).max_depth
+        assert depth == 3 and type(depth) is int
+
     def test_single_edge_pair_depth_two(self, single_edge_pair):
         schema, g0, g1 = single_edge_pair
         ctx = KernelContext(schema, SimilarityParams(gamma=1.0))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -39,20 +40,23 @@ import synth
 INDEFINITE = np.array([[1.0, 1.5], [1.5, 1.0]])
 
 # run in a fresh interpreter, so the BLAS thread count comes from the environment;
-# argv holds the directories to import nask and synth from
+# argv holds the directories to import nask and synth from; one digest per
+# --threads value
 BENCH2_DIGEST = """
 import hashlib, sys
 sys.path[:0] = sys.argv[1:]
 import nask, synth
 ds = nask.compute_ranges(synth.benchmark_dataset())
-gram = nask.compute_gram(ds, plan=nask.ExpansionPlan(max_depth=4), threads=1)
-print(hashlib.sha256(gram.values.tobytes()).hexdigest())
+for threads in (1, 2, 3):
+    gram = nask.compute_gram(ds, plan=nask.ExpansionPlan(max_depth=4), threads=threads)
+    print(hashlib.sha256(gram.values.tobytes()).hexdigest())
 """
 
 # SHA-256 of compute_gram(...).values.tobytes(), frozen so that an engine
-# rewrite must keep every bit
+# rewrite must keep every bit. bench2 (all categorical, tau = 0) is on the
+# feature map; the other two are on the indicator engine.
 PINNED_GRAM_SHA256 = {
-    "bench2-H4": "9fe0fb2372c50ec56b0015fd3eaad2eed2dcedf84a0b9370a7ff5bcc4124717b",
+    "bench2-H4": "9c2e17db17df62b06b8b426e02f77ab0ce9f52142d504bb28cec94809b763fbc",
     "wide6-200-H4": "ed9693a1b5140544dcd1d40a581c7475b4fa6c846adc21626ab91420c9e02802",
     "large-H3-tau0.6": "6b5f9b5f5e62ed607af177edfbf5eda412720bb6f6aa64a7ef3680cca79e43eb",
 }
@@ -172,9 +176,9 @@ class TestComputeGram:
                 [sys.executable, "-c", BENCH2_DIGEST, str(tests.parent / "src"), str(tests)],
                 env=env, capture_output=True, text=True, check=True,
             )
-            digests[count] = run.stdout.strip()
-        assert len(digests["1"]) == 64
-        assert digests["1"] == digests["2"]
+            digests[count] = run.stdout.split()
+        pinned = [PINNED_GRAM_SHA256["bench2-H4"]] * 3
+        assert digests == {"1": pinned, "2": pinned}
 
     def test_recompute_is_bit_identical(self):
         ds = small_dataset(seed=33, count=8)
@@ -229,6 +233,33 @@ class TestComputeGram:
     def test_bad_thread_count_rejected(self):
         with pytest.raises(ConfigError):
             compute_gram(small_dataset(count=4), threads=0)
+
+    @pytest.mark.parametrize("threads", [True, 2.0, "2"])
+    def test_thread_count_must_be_an_integer(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            compute_gram(small_dataset(count=4), threads=threads)
+
+    def test_numpy_integers_are_accepted(self, tmp_path):
+        ds = small_dataset(count=4)
+        gram = compute_gram(
+            ds, SimilarityParams(gamma=np.int64(2)), ExpansionPlan(max_depth=np.int64(2)),
+            threads=np.int64(2), depths=(np.int64(1), 2),
+        )[1]
+        assert gram.values.tobytes() == compute_gram(
+            ds, SimilarityParams(gamma=2.0), ExpansionPlan(max_depth=1)
+        ).values.tobytes()
+        # the metadata holds plain numbers, so the file reads back
+        assert import_gram(export_gram(gram, tmp_path / "g.gram")).meta == gram.meta
+
+    def test_fork_warning_only_when_a_pool_would_start(self, monkeypatch):
+        monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: ["spawn"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # all-categorical at tau = 0: the feature map, which never forks
+            compute_gram(compute_ranges(synth.benchmark_dataset(count=6)), threads=2)
+            compute_gram(small_dataset(count=4), threads=1)
+        with pytest.warns(UserWarning, match="fork start method unavailable"):
+            compute_gram(small_dataset(count=4), threads=2)
 
     def test_exhaustion_while_packing_names_the_graph(self, monkeypatch):
         def exhausted(pack, depth):

@@ -46,6 +46,13 @@ class TestParams:
         with pytest.raises(ConfigError):
             SimilarityParams(gamma=float("inf"))
 
+    def test_gamma_must_be_a_number_not_a_bool(self):
+        for bad in (True, np.True_, "1"):
+            with pytest.raises(ConfigError):
+                SimilarityParams(gamma=bad)
+        numpy_gamma = SimilarityParams(gamma=np.int64(2)).gamma
+        assert numpy_gamma == 2.0 and type(numpy_gamma) is float
+
 
 class TestPartialSimilarity:
     def test_categorical_is_equality_indicator(self):
