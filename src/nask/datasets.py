@@ -24,7 +24,9 @@ from .graph import (
     AttributeSchema,
     AttributeVector,
     DimensionSpec,
+    build_adjacency,
     canonical_edge,
+    make_edge_attrs,
     validate_vector,
 )
 
@@ -170,9 +172,11 @@ def _read_side(path_for, side: str, count: int, unit: str):
 def load_tu_dataset(directory, name: str | None = None) -> Dataset:
     """Parse one TU-format dataset directory into a Dataset.
 
-    Undirected edges must appear in both directions in `_A.txt`; mirrored
-    edge attribute rows must agree exactly. Class labels are remapped to
-    contiguous 0-based ids preserving their sorted original order.
+    Rows may come in any order and graph ids may interleave: a node's local
+    id is its rank among its graph's nodes in file order. Undirected edges
+    must appear in both directions in `_A.txt`; mirrored edge attribute
+    rows must agree exactly. Class labels are remapped to contiguous
+    0-based ids preserving their sorted original order.
     """
     directory = Path(directory)
     if name is None:
@@ -188,114 +192,96 @@ def load_tu_dataset(directory, name: str | None = None) -> Dataset:
             raise DatasetError(f"missing mandatory file {path_for(suffix).name}")
 
     indicator = [row[0] for row in _parse_rows(path_for("graph_indicator"), int, 1)]
-    num_nodes_total = len(indicator)
-    if num_nodes_total == 0:
+    if not indicator:
         raise DatasetError("graph indicator file declares no nodes")
-    num_graphs = max(indicator)
-    if min(indicator) < 1:
+    # graph ids must run 1..G without a gap; checked on the distinct ids, so
+    # a stray large id costs nothing before it is rejected
+    gids = sorted(set(indicator))
+    if gids[0] < 1:
         raise DatasetError("graph indicator ids must be >= 1")
-    graph_sizes = [0] * num_graphs
-    node_graph = [0] * num_nodes_total  # 0-based graph index per global node
-    node_local = [0] * num_nodes_total  # 0-based local node id per global node
-    for node, gid in enumerate(indicator):
-        gidx = gid - 1
-        node_graph[node] = gidx
-        node_local[node] = graph_sizes[gidx]
-        graph_sizes[gidx] += 1
-    for gidx, size in enumerate(graph_sizes):
-        if size == 0:
-            raise DatasetError(f"graph {gidx + 1} has no nodes")
+    for expected, gid in enumerate(gids, start=1):
+        if gid != expected:
+            raise DatasetError(f"graph {expected} has no nodes")
 
     raw_labels = [row[0] for row in _parse_rows(path_for("graph_labels"), int, 1)]
-    if len(raw_labels) != num_graphs:
+    if len(raw_labels) != len(gids):
         raise DatasetError(
-            f"{len(raw_labels)} graph labels for {num_graphs} graphs"
+            f"{len(raw_labels)} graph labels for {len(gids)} graphs"
         )
     class_values = tuple(sorted(set(raw_labels)))
     remap = {value: i for i, value in enumerate(class_values)}
     labels = tuple(remap[value] for value in raw_labels)
 
-    node_dims, node_vectors = _read_side(path_for, "node", num_nodes_total, "nodes")
+    node_dims, node_vectors = _read_side(path_for, "node", len(indicator), "nodes")
     if not node_dims:
         raise DatasetError(
             f"dataset {name!r} has neither node labels nor node attributes; "
             "kernels need at least one node dimension"
         )
-    edge_rows = _parse_rows(path_for("A"), int, 2) if path_for("A").is_file() else []
+    # one pass over the indicator: each graph's node vectors in file order,
+    # and each node's local id, its rank among them
+    node_attrs: list[list[AttributeVector]] = [[] for _ in gids]
+    local = []
+    for gid, vec in zip(indicator, node_vectors):
+        local.append(len(node_attrs[gid - 1]))
+        node_attrs[gid - 1].append(vec)
+
+    edge_rows = _parse_rows(path_for("A"), int, 2)
     edge_dims, edge_vectors = _read_side(path_for, "edge", len(edge_rows), "edge rows")
     schema = AttributeSchema(node_dims=node_dims, edge_dims=edge_dims)
 
-    # group directed edge rows per graph, check mirror symmetry and
-    # attribute agreement, then keep one record per canonical edge
-    per_graph_edges: list[dict] = [dict() for _ in range(num_graphs)]
-    seen_directed: list[dict] = [dict() for _ in range(num_graphs)]
-    for row, (u_raw, v_raw) in enumerate(edge_rows):
-        lineno = row + 1
-        for endpoint in (u_raw, v_raw):
-            if not 1 <= endpoint <= num_nodes_total:
-                raise DatasetError(f"{name}_A.txt:{lineno}: node id {endpoint} out of range")
-        u, v = u_raw - 1, v_raw - 1
+    def row_error(row: int, what: str) -> DatasetError:
+        return DatasetError(f"{name}_A.txt:{row + 1}: {what}")
+
+    # one table of directed rows keyed by 1-based global node ids
+    num_nodes = len(node_vectors)
+    directed: dict[tuple[int, int], int] = {}
+    for row, (u, v) in enumerate(edge_rows):
+        if not (0 < u <= num_nodes and 0 < v <= num_nodes):
+            raise row_error(row, f"node id {v if 0 < u <= num_nodes else u} out of range")
         if u == v:
-            raise DatasetError(f"{name}_A.txt:{lineno}: self-loop on node {u_raw}")
-        if node_graph[u] != node_graph[v]:
-            raise DatasetError(
-                f"{name}_A.txt:{lineno}: edge joins nodes of graphs "
-                f"{node_graph[u] + 1} and {node_graph[v] + 1}"
+            raise row_error(row, f"self-loop on node {u}")
+        if indicator[u - 1] != indicator[v - 1]:
+            raise row_error(
+                row, f"edge joins nodes of graphs {indicator[u - 1]} and {indicator[v - 1]}"
             )
-        gidx = node_graph[u]
-        key = (node_local[u], node_local[v])
-        if key in seen_directed[gidx]:
-            raise DatasetError(f"{name}_A.txt:{lineno}: duplicate edge row")
-        seen_directed[gidx][key] = row
+        if directed.setdefault((u, v), row) != row:  # the key holds an earlier row
+            raise row_error(row, "duplicate edge row")
 
+    # every row needs its mirror; an undirected edge is kept at its first
+    # row and its second row must carry the same attributes
     has_edge_dims = schema.has_edge_attrs
-    for gidx, directed in enumerate(seen_directed):
-        for (lu, lv), row in directed.items():
-            if (lv, lu) not in directed:
-                raise DatasetError(
-                    f"graph {gidx + 1}: edge ({lu}, {lv}) lacks its mirrored row"
-                )
-            key = canonical_edge(lu, lv)
-            if key in per_graph_edges[gidx]:
-                if has_edge_dims:
-                    other = per_graph_edges[gidx][key]
-                    if edge_vectors[row].values != other.values:
-                        raise DatasetError(
-                            f"graph {gidx + 1}: mirrored rows of edge {key} "
-                            "disagree on attributes"
-                        )
+    edges: list[dict] = [{} for _ in gids]  # per graph: local edge -> vector
+    for (u, v), row in directed.items():
+        mirror = directed.get((v, u))
+        if mirror is not None and mirror < row:  # an edge's second row
+            if not has_edge_dims or edge_vectors[row].values == edge_vectors[mirror].values:
                 continue
-            per_graph_edges[gidx][key] = edge_vectors[row] if has_edge_dims else None
-
-    graphs = []
-    nodes_by_graph: list[list[int]] = [[] for _ in range(num_graphs)]
-    for node, gidx in enumerate(node_graph):
-        nodes_by_graph[gidx].append(node)
-    for gidx in range(num_graphs):
-        size = graph_sizes[gidx]
-        nbrs = [[] for _ in range(size)]
-        for u, v in per_graph_edges[gidx]:
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        adjacency = tuple(tuple(sorted(s)) for s in nbrs)
-        attrs = tuple(node_vectors[node] for node in nodes_by_graph[gidx])
-        edge_attrs = None
-        if has_edge_dims:
-            edge_attrs = tuple(sorted(per_graph_edges[gidx].items()))
-        graphs.append(
-            AttributedGraph(
-                graph_id=gidx,
-                adjacency=adjacency,
-                node_attrs=attrs,
-                edge_attrs=edge_attrs,
-                label=labels[gidx],
+        gid = indicator[u - 1]
+        key = (local[u - 1], local[v - 1])
+        if mirror is None:
+            raise DatasetError(f"graph {gid}: edge {key} lacks its mirrored row")
+        if mirror < row:
+            raise DatasetError(
+                f"graph {gid}: mirrored rows of edge {canonical_edge(*key)} "
+                "disagree on attributes"
             )
-        )
+        edges[gid - 1][key] = edge_vectors[row] if has_edge_dims else None
 
+    graphs = tuple(
+        AttributedGraph(
+            graph_id=gidx,
+            adjacency=build_adjacency(len(attrs), edges[gidx]),
+            node_attrs=tuple(attrs),
+            edge_attrs=make_edge_attrs(edges[gidx]) if has_edge_dims else None,
+            label=labels[gidx],
+        )
+        for gidx, attrs in enumerate(node_attrs)
+    )
     return Dataset(
         name=name,
         schema=schema,
-        graphs=tuple(graphs),
+        graphs=graphs,
         labels=labels,
         class_values=class_values,
     )
@@ -441,33 +427,24 @@ def canonical_files(ds: Dataset) -> dict[str, str]:
     """Serialize the dataset to canonical TU-format file contents.
 
     Nodes are renumbered 1..N in dataset order, directed edge rows are
-    sorted ascending, categorical symbol ids map back to their original
-    values, and floats print in shortest round-trip form. This is both the
-    writer's payload and the basis of the content digest.
+    sorted ascending (each graph's sorted adjacency, read row by row,
+    yields them in that order), categorical symbol ids map back to their
+    original values, and floats print in shortest round-trip form. This is
+    both the writer's payload and the basis of the content digest.
     """
-    node_base = []
-    total = 0
-    for g in ds.graphs:
-        node_base.append(total)
-        total += g.num_nodes
-
     indicator_lines = [str(gidx + 1) for gidx, g in enumerate(ds.graphs) for _ in g.node_attrs]
     node_lines = _side_lines(
         ds.schema.node_dims, (vec.values for g in ds.graphs for vec in g.node_attrs), "node"
     )
 
-    directed = []
-    for gidx, g in enumerate(ds.graphs):
-        base = node_base[gidx]
-        for u, v in g.edges:
-            directed.append((base + u + 1, base + v + 1, gidx, (u, v)))
-            directed.append((base + v + 1, base + u + 1, gidx, (u, v)))
-    directed.sort(key=lambda t: (t[0], t[1]))
-    a_lines = [f"{u}, {v}" for u, v, _, _ in directed]
-
-    edge_values = ()
-    if ds.schema.has_edge_attrs:
-        edge_values = (ds.graphs[gidx].edge_attr_map[key].values for _, _, gidx, key in directed)
+    a_lines, edge_values = [], []
+    base = 1  # file id of the current graph's node 0
+    for g in ds.graphs:
+        for v, nbrs in enumerate(g.adjacency):
+            a_lines += [f"{base + v}, {base + u}" for u in nbrs]
+            if ds.schema.has_edge_attrs:
+                edge_values += [g.edge_attr_map[canonical_edge(v, u)].values for u in nbrs]
+        base += g.num_nodes
     edge_lines = _side_lines(ds.schema.edge_dims, edge_values, "edge")
 
     label_lines = [str(ds.class_values[label]) for label in ds.labels]

@@ -35,6 +35,7 @@ from .errors import ConfigError, is_integer, is_real
 from .expansion import ExpansionPlan
 from .gram import check_psd, compute_gram, normalize_gram
 from .similarity import SimilarityParams
+from .stars import EDGE_MODES, check_tau
 from .svm import predict, train_ovr
 from .version import __version__
 
@@ -66,7 +67,9 @@ class CvConfig:
     threads: int = 1
 
     def __post_init__(self):
-        for name, least in (("folds", 2), ("repeats", 1), ("inner_folds", 2), ("threads", 1)):
+        for name, least in (
+            ("folds", 2), ("repeats", 1), ("inner_folds", 2), ("threads", 1), ("seed", 0)
+        ):
             value = getattr(self, name)
             if not is_integer(value) or value < least:
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
@@ -84,6 +87,11 @@ class CvConfig:
             raise ConfigError("costs must be finite and positive")
         if self.range_mode not in RANGE_MODES:
             raise ConfigError(f"range_mode must be one of {RANGE_MODES}")
+        check_tau(self.tau)
+        if self.edge_elements not in EDGE_MODES:
+            raise ConfigError(
+                f"edge_elements must be one of {EDGE_MODES}, got {self.edge_elements!r}"
+            )
 
     def grid(self) -> list[tuple]:
         """Canonical (gamma, depth, normalize, C) order; ties resolve to first."""

@@ -2,13 +2,13 @@
 
 On the indicator engine entries are computed per upper-triangle pair and
 mirrored, each (i, j) entry by exactly one worker of a fork pool. On the
-feature map (see stars.py) every entry is formed in this process, a block
-of rows at a time, from the graphs' stacked feature vectors, by the same
-elementwise product-and-sum as a single pair. Either way the per-entry
-evaluation order is fixed, so the matrix is exactly symmetric as stored
-and byte-identical across --threads settings. Files use a small text format:
-a version header, one-line JSON metadata, the dimension, then rows of
-space-separated reals at 17 significant digits (bit-exact round trip).
+feature map (see stars.py) every entry is formed in this process, a row at
+a time, from the graphs' stacked feature vectors, by the same elementwise
+product-and-sum as a single pair. Either way the per-entry evaluation order
+is fixed, so the matrix is exactly symmetric as stored and byte-identical
+across --threads settings. Files use a small text format: a version
+header, one-line JSON metadata, the dimension, then rows of space-separated
+reals at 17 significant digits (bit-exact round trip).
 """
 
 from __future__ import annotations
@@ -131,11 +131,6 @@ def matrix_digest(values: np.ndarray) -> str:
 
 
 _WORKER_STATE: dict = {}
-# Bytes of one row block's (rows x n x features) product temporary on the
-# feature map. A whole n x n x f temporary is ~30 MB on bench2; blocks this
-# small stay in cache and leave the peak resident set where the indicator
-# engine had it.
-_BLOCK_BYTES = 1 << 18
 
 
 def _pair_values(span) -> np.ndarray:
@@ -189,17 +184,17 @@ def _indicator_tables(ctx, graphs, depth, kept, threads) -> list[np.ndarray]:
 
 
 def _feature_tables(ctx, packs, depth, kept) -> list[np.ndarray]:
-    """The kept depths' n x n tables from stacked feature vectors, a block
-    of rows at a time, in this process: each entry is the sum pair_value
-    forms for its pair, so it has the same bits."""
+    """The kept depths' n x n tables from stacked feature vectors, a row at
+    a time, in this process: each entry is the sum pair_value forms for its
+    pair, so it has the same bits. A row's (n x features) product temporary
+    is no larger than one table once n reaches the feature width."""
     features = np.stack([pack.features(depth) for pack in packs], axis=1)  # (H, n, f)
     n = features.shape[1]
     tables = [np.empty((n, n)) for _ in kept]
-    step = max(1, _BLOCK_BYTES // (8 * n * features.shape[2]))
-    for lo in range(0, n, step):
-        totals = ctx.feature_totals(features[:, lo:lo + step], features)
+    for i in range(n):
+        totals = ctx.feature_totals(features[:, i:i + 1], features)
         for table, h in zip(tables, kept):
-            table[lo:lo + step] = totals[h - 1]
+            table[i] = totals[h - 1, 0]
     return tables
 
 
@@ -255,22 +250,28 @@ def compute_gram(
             raise GramComputeError(f"resource exhaustion while packing graph {index}") from exc
         packs.append(pack)
 
-    if ctx.feature_weights is not None:
-        tables = _feature_tables(ctx, packs, plan.max_depth, kept)
-    else:
-        tables = _indicator_tables(ctx, ds.graphs, plan.max_depth, kept, int(threads))
-    grams = {}
-    for values, h in zip(tables, kept):
-        meta = GramMeta(
-            dataset_digest=ds.digest,
-            gamma=params.gamma,
-            depth=h,
-            tau=ctx.tau,
-            normalize=False,
-            edge_elements=edge_elements,
-        )
-        gram = GramMatrix(values=values, meta=meta)
-        grams[h] = normalize_gram(gram) if normalize else gram
+    # each n x n float64 table takes 8 n^2 bytes: 20 GB at n = 50,000
+    try:
+        if ctx.feature_weights is not None:
+            tables = _feature_tables(ctx, packs, plan.max_depth, kept)
+        else:
+            tables = _indicator_tables(ctx, ds.graphs, plan.max_depth, kept, int(threads))
+        grams = {}
+        for values, h in zip(tables, kept):
+            meta = GramMeta(
+                dataset_digest=ds.digest,
+                gamma=params.gamma,
+                depth=h,
+                tau=ctx.tau,
+                normalize=False,
+                edge_elements=edge_elements,
+            )
+            gram = GramMatrix(values=values, meta=meta)
+            grams[h] = normalize_gram(gram) if normalize else gram
+    except MemoryError as exc:
+        raise GramComputeError(
+            f"resource exhaustion while forming the Gram tables of n={ds.num_graphs} graphs"
+        ) from exc
     return grams if depths is not None else grams[plan.max_depth]
 
 

@@ -42,7 +42,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError
+from .errors import ConfigError, SchemaError, is_real
 from .graph import CATEGORICAL, AttributedGraph, AttributeSchema
 from .similarity import PackedAttrs, SimilarityParams, similarity_matrix
 
@@ -51,6 +51,13 @@ EDGE_MODES = ("auto", "on", "off")
 # with more symbols stay on the indicator engine, whose memory does not
 # grow with the symbol count.
 MAX_FEATURES = 1024
+
+
+def check_tau(tau) -> float:
+    """The center-similarity pruning threshold, a real number in [0, 1)."""
+    if not is_real(tau) or not 0.0 <= tau < 1.0:
+        raise ConfigError(f"tau must lie in [0, 1), got {tau}")
+    return float(tau)
 
 
 def _category_counts(dims) -> tuple[int, ...] | None:
@@ -178,11 +185,9 @@ class KernelContext:
             raise ConfigError(f"edge_elements must be one of {EDGE_MODES}, got {edge_elements!r}")
         if edge_elements == "on" and not schema.has_edge_attrs:
             raise SchemaError("edge elements requested but the schema has no edge dimensions")
-        if not 0.0 <= tau < 1.0:
-            raise ConfigError(f"tau must lie in [0, 1), got {tau}")
         self.schema = schema
         self.params = params if params is not None else SimilarityParams()
-        self.tau = float(tau)
+        self.tau = check_tau(tau)
         self.edge_elements = edge_elements
         self.use_edges = edge_elements == "on" or (
             edge_elements == "auto" and schema.has_edge_attrs

@@ -250,6 +250,26 @@ class TestCv:
         assert code == 2
         assert "on/off" in capsys.readouterr().err
 
+    def test_negative_seed_rejected(self, tu_dir, tmp_path, capsys):
+        code = main([
+            "cv", "--data", str(tu_dir), "--seed", "-1",
+            "--folds", "3", "--repeats", "1", "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "error: seed must be an integer >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
+    def test_non_numeric_run_file_tau_rejected(self, tu_dir, tmp_path, capsys):
+        run_file = tmp_path / "run.json"
+        run_file.write_text(json.dumps({"tau": [0.5], "folds": 3, "repeats": 1}))
+        code = main([
+            "cv", "--data", str(tu_dir), "--run-file", str(run_file),
+            "--out", str(tmp_path / "x.json"),
+        ])
+        assert code == 2
+        assert "error: tau must lie in [0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "x.json").exists()
+
 
 class TestClassify:
     def test_split_run_reports_accuracy(self, tu_dir, gram_file, tmp_path, capsys):

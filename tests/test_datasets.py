@@ -41,6 +41,21 @@ BASIC = dict(
 FULL = dict(BASIC, edge_attributes=["0.25", "0.25", "0.5", "0.5", "1.0", "1.0"])
 SIDE_FILES = ("node_labels", "node_attributes", "edge_labels", "edge_attributes")
 
+# non-canonical input: graph ids interleave in the indicator and the
+# directed edge rows come shuffled, carrying labels and attributes. Graph 1
+# is the triangle on file nodes 1, 3, 6; graph 2 joins 2 and 5; graph 3
+# joins 4 and 7. Labels first appear in the same order here as in the
+# canonical files, so both interning orders agree.
+SHUFFLED = dict(
+    A=["6, 3", "2, 5", "1, 3", "7, 4", "3, 6", "6, 1", "5, 2", "3, 1", "4, 7", "1, 6"],
+    graph_indicator=["1", "2", "1", "3", "2", "1", "3"],
+    graph_labels=["2", "-1", "2"],
+    node_labels=["5", "5", "6", "6", "6", "9", "9"],
+    node_attributes=["0.5", "1.5", "2.5", "3.5", "4.5", "5.5", "6.5"],
+    edge_labels=["4", "4", "4", "6", "4", "6", "4", "4", "6", "6"],
+    edge_attributes=["1.25", "0.75", "0.5", "3.5", "1.25", "-2.0", "0.75", "0.5", "3.5", "-2.0"],
+)
+
 
 @pytest.fixture
 def basic_dir(tmp_path):
@@ -162,6 +177,34 @@ class TestLoading:
         files = dict(BASIC, graph_indicator=["1", "1", "1", "3", "3"], graph_labels=["1", "-1", "1"])
         directory = write_tu(tmp_path, "gap", **files)
         with pytest.raises(DatasetError, match="has no nodes"):
+            load_tu_dataset(directory)
+
+    def test_interleaved_ids_and_shuffled_rows(self, tmp_path):
+        ds = load_tu_dataset(write_tu(tmp_path, "shuffled", **SHUFFLED))
+        g0, g1, g2 = ds.graphs
+        # local ids follow file order within each graph
+        assert g0.adjacency == ((1, 2), (0, 2), (0, 1))
+        assert [v.values for v in g0.node_attrs] == [(0, 0.5), (1, 2.5), (2, 5.5)]
+        assert [(key, vec.values) for key, vec in g0.edge_attrs] == [
+            ((0, 1), (0, 0.5)), ((0, 2), (1, -2.0)), ((1, 2), (0, 1.25))
+        ]
+        assert [v.values for v in g1.node_attrs] == [(0, 1.5), (1, 4.5)]
+        assert g1.edge_attr_map[(0, 1)].values == (0, 0.75)
+        assert [v.values for v in g2.node_attrs] == [(1, 3.5), (2, 6.5)]
+        assert g2.edge_attr_map[(0, 1)].values == (1, 3.5)
+        assert ds.labels == (1, 0, 1)
+        save_tu_dataset(ds, tmp_path / "canonical", name="shuffled")
+        back = load_tu_dataset(tmp_path / "canonical", name="shuffled")
+        assert back.graphs == ds.graphs
+        assert back.schema == ds.schema
+        assert (back.labels, back.class_values) == (ds.labels, ds.class_values)
+        assert canonical_digest(back) == canonical_digest(ds) == SHUFFLED_DIGEST
+
+    def test_stray_large_graph_id_rejected_without_allocating(self, tmp_path):
+        # a table per graph id up to 10**12 would not fit in memory
+        files = dict(BASIC, graph_indicator=["1", "1", "1", "1000000000000", "1000000000000"])
+        directory = write_tu(tmp_path, "stray", **files)
+        with pytest.raises(DatasetError, match="graph 2 has no nodes"):
             load_tu_dataset(directory)
 
     def test_label_count_mismatch(self, tmp_path):
@@ -303,6 +346,10 @@ PINNED = {
         },
     ),
 }
+
+
+# canonical digest of SHUFFLED, frozen like PINNED above
+SHUFFLED_DIGEST = "69c30e0e67c87f4f01bf7f6bf80aa9ef75bac7d3516f45456489b8b6e37d7157"
 
 
 class TestPinnedBytes:

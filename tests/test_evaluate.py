@@ -148,6 +148,16 @@ class TestCvConfig:
             dict(folds=True),
             dict(threads=True),
             dict(threads=0),
+            dict(seed=-1),
+            dict(seed=True),
+            dict(seed=1.5),
+            dict(tau=[0.5]),
+            dict(tau="0.5"),
+            dict(tau=True),
+            dict(tau=-0.1),
+            dict(tau=1.0),
+            dict(tau=float("nan")),
+            dict(edge_elements="both"),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):

@@ -269,6 +269,20 @@ class TestComputeGram:
         with pytest.raises(GramComputeError, match="packing graph 0"):
             compute_gram(small_dataset(count=4))
 
+    @pytest.mark.parametrize("engine", ["feature map", "indicator"])
+    def test_exhaustion_while_forming_tables_names_n(self, monkeypatch, engine):
+        def exhausted(*args):
+            raise MemoryError
+
+        if engine == "feature map":  # all-categorical at tau = 0
+            ds = compute_ranges(synth.benchmark_dataset(count=6))
+            monkeypatch.setattr(KernelContext, "feature_totals", exhausted)
+        else:
+            ds = small_dataset(count=4)
+            monkeypatch.setattr(GramMatrix, "__post_init__", exhausted)
+        with pytest.raises(GramComputeError, match=f"n={ds.num_graphs} graphs"):
+            compute_gram(ds)
+
     @pytest.mark.parametrize("name", sorted(PINNED_GRAM_SHA256))
     def test_values_match_the_pinned_digest(self, name):
         assert sha256(pinned_gram(name)) == PINNED_GRAM_SHA256[name]
