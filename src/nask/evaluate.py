@@ -12,8 +12,10 @@ cross-validation on the training portion only. A run takes three steps:
    is stamped into every report. A per-fold range mode builds a table per
    fold from training-graph ranges only, for auditing the effect.
 2. A cost sweep slices one table entry's train and held-out blocks once
-   and fits every cost on them, counting the machines that hit their
-   update cap into `environment.convergence_warnings`.
+   and fits the costs on them in ascending order, reusing each fit that
+   never touched the box for the larger costs. `environment` counts the
+   fresh fits, the reused ones, the SMO updates, and the machines that hit
+   their update cap (`convergence_warnings`).
 3. Selection averages each grid point's inner accuracies and picks the
    first maximum in the canonical grid order.
 """
@@ -236,20 +238,35 @@ def _kernel_table(ds: Dataset, cfg: CvConfig, prefix: str, seconds: dict, psd: d
     return table
 
 
-def _cost_sweep(values, labels, train_idx, eval_idx, costs) -> tuple[list, int]:
-    """Held-out accuracy of one fit per cost, in order, on blocks sliced once,
-    and the count of unconverged machines, whose warnings are muted."""
+def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict) -> list:
+    """Held-out accuracy of one fit per cost, in `costs` order, on blocks
+    sliced once.
+
+    Costs are walked in ascending order. A fit whose every machine peaked
+    strictly below its own C never touched the box, so it is the fit at any
+    larger C, bit for bit: it and its accuracy are reused until a fit
+    reaches the box. `counts` gains the fresh fits, the reused ones, the
+    SMO updates of the fresh ones, and the unconverged machines of all,
+    whose warnings are muted.
+    """
     train_block = values[np.ix_(train_idx, train_idx)]
     eval_block = values[np.ix_(eval_idx, train_idx)]
     train_labels, eval_labels = labels[train_idx], labels[eval_idx]
-    accuracies, unconverged = [], 0
+    accuracies = [0.0] * len(costs)
+    model = None
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for cost in costs:
-            model = train_ovr(train_block, train_labels, cost)
-            accuracies.append(float(np.mean(predict(model, eval_block) == eval_labels)))
-            unconverged += sum(not m.converged for m in model.machines)
-    return accuracies, unconverged
+        for k in np.argsort(costs, kind="stable"):
+            if model is not None and all(m.peak < model.C for m in model.machines):
+                counts["svm_reused_fits"] += 1
+            else:
+                model = train_ovr(train_block, train_labels, costs[k])
+                accuracy = float(np.mean(predict(model, eval_block) == eval_labels))
+                counts["svm_fits"] += 1
+                counts["svm_updates"] += sum(m.iterations for m in model.machines)
+            accuracies[k] = accuracy
+            counts["convergence_warnings"] += sum(not m.converged for m in model.machines)
+    return accuracies
 
 
 def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
@@ -271,7 +288,9 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
         )
     digest = ds.digest  # read before compute_ranges, whose copies carry it along
     collected: list[str] = []
-    convergence_warnings = 0
+    counts = dict.fromkeys(
+        ("convergence_warnings", "svm_fits", "svm_reused_fits", "svm_updates"), 0
+    )
     gram_seconds: dict = {}
     gram_psd: dict = {}
     if cfg.range_mode == "full":
@@ -313,10 +332,9 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                     assert not np.intersect1d(val_idx, test_idx).size
                     inner_train = np.setdiff1d(train_idx, val_idx)
                     for key, values in table.items():
-                        accuracies, unconverged = _cost_sweep(
-                            values, labels, inner_train, val_idx, cfg.costs
+                        accuracies = _cost_sweep(
+                            values, labels, inner_train, val_idx, cfg.costs, counts
                         )
-                        convergence_warnings += unconverged
                         for cost, accuracy in zip(cfg.costs, accuracies):
                             totals[(*key, cost)] += accuracy
                 means = {config: totals[config] / len(inner) for config in grid}
@@ -325,10 +343,9 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                 best = max(grid, key=means.__getitem__)  # ties resolve to the first
                 best_inner = means[best]
             gamma, depth, normalize, cost = best
-            (accuracy,), unconverged = _cost_sweep(
-                table[gamma, depth, normalize], labels, train_idx, test_idx, (cost,)
+            (accuracy,) = _cost_sweep(
+                table[gamma, depth, normalize], labels, train_idx, test_idx, (cost,), counts
             )
-            convergence_warnings += unconverged
             pick_counts[best] += 1
             outer_accuracies.append(accuracy)
             fold_entries.append(
@@ -364,7 +381,7 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
         "total_seconds": round(time.perf_counter() - started, 6),
         "gram_seconds": gram_seconds,
         "gram_psd": gram_psd,
-        "convergence_warnings": convergence_warnings,
+        **counts,
     }
     config_obj = asdict(cfg)
     for key, value in config_obj.items():

@@ -3,10 +3,22 @@
 The binary solver is sequential minimal optimization over the dual with
 max-violating-pair working-set selection, lowest-index tie-breaking, and
 an analytic two-variable subproblem clipped to the box by one rule per
-constraint type. It maintains the gradient of the dual objective
-incrementally, so one update costs O(n). A fit that hits its update cap
-warns and returns with `converged` false. Models store only what
-prediction needs: support indices, dual coefficients, and the bias.
+constraint type. It maintains the gradient of the dual objective and the
+two working-set masks incrementally, so one update costs O(n). A fit that
+hits its update cap warns and returns with `converged` false. Models store
+only what prediction needs: support indices, dual coefficients, and the
+bias.
+
+A fresh machine also records its `peak`, the largest tentative value of
+its updates: every alpha right after the analytic step, and every
+same-sign total alpha_i + alpha_j. C enters the solver only through
+comparisons and the clips they trigger, and every value compared with C,
+like every alpha the solver ever holds, is at most the peak. So a fit
+whose peak lies strictly below its own C never touched the box, and at any
+larger C every branch goes the same way: alpha, support, bias, objective,
+iterations and `converged` are bit for bit the fit at that C.
+Cross-validation reuses such fits across its cost grid. Machines read back
+by `load_model` carry no peak.
 """
 
 from __future__ import annotations
@@ -19,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DegenerateClassError, SvmError
+from .errors import ConfigError, DegenerateClassError, SvmError, is_integer, is_real
 
 _TAU = 1e-12  # guard for non-positive curvature in the two-variable subproblem
 
@@ -38,6 +50,7 @@ class BinarySvm:
     iterations: int
     objective: float
     alpha: np.ndarray | None = None
+    peak: float | None = None  # below C: the same fit at every larger C
 
     def decision_values(self, rows: np.ndarray) -> np.ndarray:
         return rows[:, self.support] @ self.dual_coef + self.bias
@@ -85,79 +98,97 @@ def train_binary(
         raise SvmError("labels must be -1 or +1")
     if not (y > 0).any() or not (y < 0).any():
         raise DegenerateClassError("both label signs are required for training")
-    if not (math.isfinite(C) and C > 0):
+    if not (is_real(C) and math.isfinite(C) and C > 0):
         raise ConfigError(f"C must be finite and > 0, got {C}")
+    if not (is_real(tol) and math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_passes is not None and not (is_integer(max_passes) and max_passes >= 0):
+        raise ConfigError(f"max_passes must be an integer >= 0, got {max_passes!r}")
     max_iter = 10 * n if max_passes is None else int(max_passes)
+    C = float(C)
 
-    Kd = K.diagonal()
-    Q = K * np.outer(y, y)
-    pos, neg = y > 0, y < 0
+    Kd = K.diagonal().tolist()
+    # row k is column k of K * yy': an update reads two contiguous rows, with
+    # the values of the columns even where K is not exactly symmetric
+    Q = np.multiply(K.T, np.outer(y, y), order="C")
+    signs = y.tolist()
+    neg_y = -y
     alpha = np.zeros(n)
     grad = -np.ones(n)  # gradient of (1/2 a'Qa - sum a)
+    yg = np.empty(n)
+    # indices whose y*alpha may still rise (up) or fall (lo), kept in step
+    # with alpha at the two indices each update moves. Neither set is ever
+    # empty: emptying one puts every alpha of one label sign at one bound and
+    # every alpha of the other sign at the opposite bound, which
+    # sum(y * alpha) = 0 rules out when both signs are present.
+    up, lo = y > 0, y < 0
+    up_yg, lo_yg = np.full(n, -np.inf), np.full(n, np.inf)  # yg inside each set
+    inc, step = np.empty(n), np.empty(n)
     converged = False
     iterations = 0
-
-    def bound_sets():
-        """Indices whose y*alpha may still rise (up) or fall (lo).
-
-        Neither set is ever empty: emptying one puts every alpha of one label
-        sign at one bound and every alpha of the other sign at the opposite
-        bound, which sum(y * alpha) = 0 rules out when both signs are present.
-        """
-        below, above = alpha < C, alpha > 0
-        return (pos & below) | (neg & above), (pos & above) | (neg & below)
+    peak = 0.0
 
     for _ in range(max_iter):
-        yg = -y * grad
-        up, lo = bound_sets()
-        i = int(np.argmax(np.where(up, yg, -np.inf)))
-        j = int(np.argmin(np.where(lo, yg, np.inf)))
-        if yg[i] - yg[j] <= tol:
+        np.multiply(neg_y, grad, out=yg)
+        np.copyto(up_yg, yg, where=up)
+        np.copyto(lo_yg, yg, where=lo)
+        i = int(up_yg.argmax())
+        j = int(lo_yg.argmin())
+        if yg.item(i) - yg.item(j) <= tol:
             converged = True
             break
         iterations += 1
-        old_i, old_j = alpha[i], alpha[j]
-        quad = Kd[i] + Kd[j] - 2.0 * K[i, j]
+        old_i, old_j = alpha.item(i), alpha.item(j)
+        grad_i, grad_j = grad.item(i), grad.item(j)
+        quad = Kd[i] + Kd[j] - 2.0 * K.item(i, j)
         if quad <= 0:
             quad = _TAU
-        if y[i] != y[j]:
+        if signs[i] != signs[j]:
             # alpha_i - alpha_j is fixed: clip the smaller one at 0, the larger at C
-            delta = (-grad[i] - grad[j]) / quad
+            delta = (-grad_i - grad_j) / quad
             diff = old_i - old_j
-            alpha[i] = old_i + delta
-            alpha[j] = old_j + delta
-            low, high, gap = (j, i, diff) if diff > 0 else (i, j, -diff)
-            if alpha[low] < 0:
-                alpha[low] = 0.0
-                alpha[high] = gap
-            if alpha[high] > C:
-                alpha[high] = C
-                alpha[low] = C - gap
+            pair = [old_i + delta, old_j + delta]
+            peak = max(peak, *pair)
+            low, high, gap = (1, 0, diff) if diff > 0 else (0, 1, -diff)
+            if pair[low] < 0:
+                pair[low], pair[high] = 0.0, gap
+            if pair[high] > C:
+                pair[high], pair[low] = C, C - gap
         else:
             # alpha_i + alpha_j is fixed: a total above C clips at C, else at 0
-            delta = (grad[i] - grad[j]) / quad
+            delta = (grad_i - grad_j) / quad
             total = old_i + old_j
-            alpha[i] = old_i - delta
-            alpha[j] = old_j + delta
-            for a, b in ((i, j), (j, i)):
-                if total > C and alpha[a] > C:
-                    alpha[a] = C
-                    alpha[b] = total - C
-                elif total <= C and alpha[b] < 0:
-                    alpha[b] = 0.0
-                    alpha[a] = total
-        grad += Q[:, i] * (alpha[i] - old_i) + Q[:, j] * (alpha[j] - old_j)
+            pair = [old_i - delta, old_j + delta]
+            peak = max(peak, total, *pair)
+            for a, b in ((0, 1), (1, 0)):
+                if total > C and pair[a] > C:
+                    pair[a], pair[b] = C, total - C
+                elif total <= C and pair[b] < 0:
+                    pair[b], pair[a] = 0.0, total
+        new_i, new_j = pair
+        alpha[i], alpha[j] = pair
+        for k, value in ((i, new_i), (j, new_j)):
+            below, above = value < C, value > 0
+            up[k], lo[k] = (below, above) if signs[k] > 0 else (above, below)
+            if not up[k]:
+                up_yg[k] = -np.inf
+            if not lo[k]:
+                lo_yg[k] = np.inf
+        # grad += Q[i] (new_i - old_i) + Q[j] (new_j - old_j), in place
+        np.multiply(Q[i], new_i - old_i, out=inc)
+        np.multiply(Q[j], new_j - old_j, out=step)
+        inc += step
+        grad += inc
     else:
         warnings.warn(
             f"SMO did not converge within {max_iter} updates (gap above {tol})"
         )
 
-    yg = -y * grad
+    yg = neg_y * grad
     free = (alpha > 0) & (alpha < C)
     if free.any():
         bias = float(yg[free].mean())
     else:
-        up, lo = bound_sets()
         bias = (float(yg[up].max()) + float(yg[lo].min())) / 2.0
     support = np.flatnonzero(alpha > 0)
     return BinarySvm(
@@ -165,12 +196,13 @@ def train_binary(
         bias=bias,
         support=support,
         dual_coef=alpha[support] * y[support],
-        C=float(C),
+        C=C,
         n_train=n,
         converged=converged,
         iterations=iterations,
         objective=float(0.5 * (alpha.sum() - alpha @ grad)),
         alpha=alpha,
+        peak=peak,
     )
 
 

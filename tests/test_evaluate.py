@@ -15,11 +15,12 @@ from nask.evaluate import (
     TRANSDUCTIVE_NOTE,
     CvConfig,
     CvReport,
+    _cost_sweep,
     cross_validate,
     stratified_folds,
 )
 from nask.gram import compute_gram
-from nask.svm import train_ovr
+from nask.svm import predict, train_ovr
 
 from conftest import graph_with
 import synth
@@ -33,6 +34,9 @@ SMALL_GRID = dict(gammas=(1.0,), depths=(1, 2), normalize_options=(True,), costs
 # a change to the protocol or the solver that moves them must say so in CHANGES.md
 PINNED_FULL = ("feb1383d34a63fbfb692ece25ef24e04c097688f2b5937e6089d3bb299682497", 48)
 PINNED_PER_FOLD = ("b3026eb7185adbfb3b0c5f7800ebc8e1d5dabb48f0c0bf15d06758909294eeb1", 39)
+# the same for a cost grid out of order, whose accuracies must come back in
+# cfg.costs order
+PINNED_UNSORTED = ("9e51392fd5620d58adfcf6e529c2bd50f34e72fa4143603cfd57d48f490cd72c", 73)
 
 
 def easy_dataset(count=18, seed=30, name="easy2"):
@@ -234,6 +238,14 @@ class TestCrossValidate:
         pinned = (report.results_digest(), report.environment["convergence_warnings"])
         assert pinned == PINNED_FULL
 
+    def test_unsorted_cost_grid_matches_pinned_digest(self):
+        cfg = CvConfig(folds=3, repeats=1, seed=7, gammas=(0.5, 2.0), depths=(1, 2),
+                       costs=(10.0, 0.01, 1.0))
+        report = cross_validate(noisy_dataset(), cfg)
+        pinned = (report.results_digest(), report.environment["convergence_warnings"])
+        assert pinned == PINNED_UNSORTED
+        assert [entry["C"] for entry in report.per_config[:3]] == [10.0, 0.01, 1.0]
+
     def test_per_fold_run_matches_pinned_digest(self):
         cfg = CvConfig(folds=3, repeats=1, seed=6, gammas=(1.0,), depths=(2,),
                        costs=(0.1, 10.0), range_mode="per-fold")
@@ -252,7 +264,22 @@ class TestCrossValidate:
         # one update never reaches the optimum from alpha = 0, so every
         # machine (three per fit) of every inner and outer fit is unconverged
         fits = cfg.folds * (len(cfg.grid()) * cfg.inner_folds + 1)
-        assert report.environment["convergence_warnings"] == 3 * fits
+        env = report.environment
+        assert env["convergence_warnings"] == 3 * fits
+        assert env["svm_fits"] + env["svm_reused_fits"] == fits
+        assert env["svm_updates"] == 3 * env["svm_fits"]
+
+    def test_fit_counts_cover_every_split_and_grid_point(self):
+        cfg = CvConfig(folds=3, repeats=2, inner_folds=2, gammas=(1.0,), depths=(1, 2),
+                       costs=(0.01, 1.0, 100.0))
+        report = cross_validate(noisy_dataset(), cfg)
+        env = report.environment
+        # every inner split fits each grid point, every outer fold its pick
+        fits = cfg.folds * cfg.repeats * (len(cfg.grid()) * cfg.inner_folds + 1)
+        assert env["svm_fits"] + env["svm_reused_fits"] == fits
+        assert env["svm_reused_fits"] > 0
+        assert env["svm_updates"] > env["svm_fits"]
+        assert not {"svm_fits", "svm_reused_fits", "svm_updates"} & set(report.results_obj())
 
     @pytest.mark.parametrize(("range_mode", "passes"), [("full", 2), ("per-fold", 4)])
     def test_one_kernel_pass_per_gamma(self, monkeypatch, range_mode, passes):
@@ -352,6 +379,111 @@ class TestCrossValidate:
         ds = synth.dataset_from_graphs(graphs, name="mono", schema=schema, labels=[0] * 6)
         with pytest.raises(ConfigError, match="classes"):
             cross_validate(ds, CvConfig(folds=2, repeats=1, **SINGLE_GRID))
+
+
+def sweep_problem(seed, kind, classes, n=30, held_out=8):
+    """A seeded kernel over n points, labels, and train / held-out indices."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, 3))
+    if kind == "rbf":
+        K = np.exp(-((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+    else:
+        K = X @ X.T + 0.5 * np.eye(n)
+        if kind == "indefinite":
+            S = rng.normal(size=(n, n))
+            K = K + S + S.T
+    labels = np.arange(n) % classes
+    rng.shuffle(labels)
+    return K, labels, np.arange(n - held_out), np.arange(n - held_out, n)
+
+
+def same_machines(a, b) -> bool:
+    """Bit equality of everything a fit decides."""
+    return all(
+        x.alpha.tobytes() == y.alpha.tobytes()
+        and np.array_equal(x.support, y.support)
+        and x.dual_coef.tobytes() == y.dual_coef.tobytes()
+        and np.float64(x.bias).tobytes() == np.float64(y.bias).tobytes()
+        and np.float64(x.objective).tobytes() == np.float64(y.objective).tobytes()
+        and (x.iterations, x.converged) == (y.iterations, y.converged)
+        for x, y in zip(a.machines, b.machines, strict=True)
+    )
+
+
+@pytest.mark.filterwarnings("ignore:SMO did not converge")
+class TestCostSweep:
+    COSTS = (1e2, 1e-3, 1.0, 1e-1, 1e3, 1e-2, 1e1)  # out of order on purpose
+
+    def sweep(self, monkeypatch, problem, costs, max_passes=None):
+        """Run the sweep with train_ovr spied on; return the accuracies, the
+        fresh fits by cost, and the counts."""
+        K, labels, train_idx, eval_idx = problem
+        fresh = {}
+
+        def spied(block, block_labels, cost):
+            fresh[cost] = train_ovr(block, block_labels, cost, max_passes=max_passes)
+            return fresh[cost]
+
+        monkeypatch.setattr(nask.evaluate, "train_ovr", spied)
+        counts = dict.fromkeys(
+            ("convergence_warnings", "svm_fits", "svm_reused_fits", "svm_updates"), 0
+        )
+        accuracies = _cost_sweep(K, labels, train_idx, eval_idx, costs, counts)
+        return accuracies, fresh, counts
+
+    @pytest.mark.parametrize("max_passes", [None, 3])
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("kind", ["psd", "rbf", "indefinite"])
+    def test_a_reused_fit_is_the_fresh_fit(self, monkeypatch, kind, classes, max_passes):
+        problem = sweep_problem(11, kind, classes)
+        K, labels, train_idx, eval_idx = problem
+        accuracies, fresh, counts = self.sweep(monkeypatch, problem, self.COSTS, max_passes)
+        block, held_out = K[np.ix_(train_idx, train_idx)], K[np.ix_(eval_idx, train_idx)]
+        model, unconverged, reused = None, 0, 0
+        for cost in sorted(self.COSTS):
+            model = fresh.get(cost, model)
+            refit = train_ovr(block, labels[train_idx], cost, max_passes=max_passes)
+            if cost not in fresh:
+                assert same_machines(model, refit)
+                reused += 1
+            unconverged += sum(not m.converged for m in refit.machines)
+        # accuracies come back in the order of the given costs
+        assert accuracies == [
+            float(np.mean(predict(train_ovr(block, labels[train_idx], cost,
+                                            max_passes=max_passes), held_out)
+                          == labels[eval_idx]))
+            for cost in self.COSTS
+        ]
+        assert counts == {
+            "convergence_warnings": unconverged,
+            "svm_fits": len(fresh),
+            "svm_reused_fits": reused,
+            "svm_updates": sum(m.iterations for model in fresh.values() for m in model.machines),
+        }
+        assert len(fresh) + reused == len(self.COSTS)
+
+    def test_the_rule_fires_on_every_kind_of_fixture(self, monkeypatch):
+        fired = []
+        for kind in ("psd", "rbf", "indefinite"):
+            for classes in (2, 3):
+                for max_passes in (None, 3):
+                    problem = sweep_problem(11, kind, classes)
+                    _, _, counts = self.sweep(monkeypatch, problem, self.COSTS, max_passes)
+                    if counts["svm_reused_fits"]:
+                        fired.append((kind, classes, max_passes))
+        kinds, class_counts, caps = (set(column) for column in zip(*fired))
+        assert (kinds, class_counts, caps) == ({"psd", "rbf", "indefinite"}, {2, 3}, {None, 3})
+
+    def test_a_peak_between_two_costs_is_refitted(self, monkeypatch):
+        # this fit's peak lies above its own C and below the next one, and
+        # the fit at the next C differs: a rule that tested the next C would
+        # reuse it
+        problem = sweep_problem(0, "rbf", 2)
+        _, fresh, counts = self.sweep(monkeypatch, problem, (1.0, 10.0))
+        low, high = fresh[1.0], fresh[10.0]
+        assert 1.0 <= max(m.peak for m in low.machines) < 10.0
+        assert not same_machines(low, high)
+        assert counts["svm_fits"] == 2 and counts["svm_reused_fits"] == 0
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Dual SVM training against hand-derived fixtures and a global oracle."""
 
 import hashlib
+import math
 import warnings
 
 import numpy as np
@@ -197,6 +198,22 @@ class TestSolverProperties:
         # the partial model still predicts
         assert model.decision_values(K[:3]).shape == (3,)
 
+    def test_peak_bounds_every_alpha(self):
+        rng = np.random.default_rng(55)
+        K = random_psd_kernel(rng, 12)
+        y = np.where(np.arange(12) % 2 == 0, 1.0, -1.0)
+        for C in (0.01, 1.0, 100.0):
+            model = train_binary(K, y, C=C)
+            assert model.alpha.max() <= model.peak
+
+    def test_a_zero_bias_keeps_its_sign(self):
+        # the bias sums to an exact zero, whose sign the order of the
+        # solver's arithmetic fixes; updating -y * grad in place of the
+        # gradient gives +0.0 here
+        K = np.array([[3.0, 1.0, 2.0], [1.0, 1.0, 1.0], [2.0, 1.0, 2.0]])
+        model = train_binary(K, np.array([1.0, -1.0, 1.0]), C=1.0)
+        assert model.bias == 0.0 and math.copysign(1.0, model.bias) == -1.0
+
     def test_seeded_fits_match_the_pinned_fingerprint(self):
         assert svm_fingerprint() == SVM_FINGERPRINT
 
@@ -215,9 +232,33 @@ class TestValidation:
             train_binary(np.eye(3), np.array([1.0, -1.0]), C=1.0)
 
     def test_cost_must_be_positive(self):
-        for cost in (0.0, float("nan"), float("inf")):
+        for cost in (0.0, float("nan"), float("inf"), True, "1"):
             with pytest.raises(ConfigError, match="finite"):
                 train_binary(np.eye(2), np.array([1.0, -1.0]), C=cost)
+
+    @pytest.mark.parametrize(
+        "limits",
+        [
+            dict(tol=float("nan")),
+            dict(tol=float("inf")),
+            dict(tol=-1.0),
+            dict(tol=True),
+            dict(tol="0.1"),
+            dict(max_passes=-3),
+            dict(max_passes=2.7),
+            dict(max_passes=True),
+            dict(max_passes="5"),
+        ],
+    )
+    def test_solver_limits_checked(self, limits):
+        with pytest.raises(ConfigError, match="tol|max_passes"):
+            train_binary(np.eye(2), np.array([1.0, -1.0]), C=1.0, **limits)
+
+    def test_zero_limits_and_numpy_integers_accepted(self):
+        K, y = np.eye(2), np.array([1.0, -1.0])
+        with pytest.warns(UserWarning, match="did not converge"):
+            assert train_binary(K, y, C=1.0, max_passes=0).iterations == 0
+        assert train_binary(K, y, C=1.0, tol=0, max_passes=np.int64(5)).converged
 
     def test_decision_function_width_checked(self):
         model = train_ovr(np.eye(4), np.array([0, 1, 0, 1]), C=1.0)
@@ -292,6 +333,7 @@ class TestSerialization:
         assert loaded.classes == model.classes
         assert loaded.gram_digest == "abc123"
         assert loaded.machines[0].alpha is None
+        assert loaded.machines[0].peak is None
         rows = K[:6]
         assert np.array_equal(predict(loaded, rows), predict(model, rows))
         assert np.allclose(
