@@ -87,6 +87,8 @@ class CvConfig:
             raise ConfigError("depths must be integers >= 1")
         if not all(is_real(c) and math.isfinite(c) and c > 0 for c in self.costs):
             raise ConfigError("costs must be finite and positive")
+        if not all(isinstance(v, (bool, np.bool_)) for v in self.normalize_options):
+            raise ConfigError("normalize_options must be bools")
         if self.range_mode not in RANGE_MODES:
             raise ConfigError(f"range_mode must be one of {RANGE_MODES}")
         check_tau(self.tau)
@@ -98,7 +100,7 @@ class CvConfig:
     def grid(self) -> list[tuple]:
         """Canonical (gamma, depth, normalize, C) order; ties resolve to first."""
         return [
-            (gamma, int(depth), normalize, cost)
+            (gamma, int(depth), bool(normalize), cost)
             for gamma in self.gammas
             for depth in self.depths
             for normalize in self.normalize_options
@@ -171,6 +173,11 @@ class CvReport:
             )
         lines.append("")
         return "\n".join(lines)
+
+
+def _plain(value):
+    """A numpy scalar as the Python number it holds, for the JSON report."""
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def stratified_folds(labels, k: int, seed) -> list[np.ndarray]:
@@ -386,7 +393,9 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
     config_obj = asdict(cfg)
     for key, value in config_obj.items():
         if isinstance(value, tuple):
-            config_obj[key] = list(value)
+            config_obj[key] = [_plain(v) for v in value]
+        else:
+            config_obj[key] = _plain(value)
     return CvReport(
         dataset_name=ds.name,
         dataset_digest=digest,

@@ -1,14 +1,14 @@
 """Gram-matrix computation, normalization, PSD validation, persistence.
 
-On the indicator engine entries are computed per upper-triangle pair and
-mirrored, each (i, j) entry by exactly one worker of a fork pool. On the
-feature map (see stars.py) every entry is formed in this process, a row at
-a time, from the graphs' stacked feature vectors, by the same elementwise
-product-and-sum as a single pair. Either way the per-entry evaluation order
-is fixed, so the matrix is exactly symmetric as stored and byte-identical
-across --threads settings. Files use a small text format: a version
-header, one-line JSON metadata, the dimension, then rows of space-separated
-reals at 17 significant digits (bit-exact round trip).
+Both engines fill only the upper triangle (j >= i) of each kept depth's
+table, and compute_gram mirrors it once: on the indicator engine each entry
+by exactly one worker of a fork pool, on the feature map (see stars.py) a
+row at a time in this process, by the same elementwise product-and-sum as
+a single pair. Either way the per-entry evaluation order is fixed, so the
+matrix is exactly symmetric as stored and byte-identical across --threads
+settings. Files use a small text format: a version header, one-line JSON
+metadata, the dimension, then rows of space-separated reals at 17
+significant digits (bit-exact round trip).
 """
 
 from __future__ import annotations
@@ -158,7 +158,7 @@ def _pair_values(span) -> np.ndarray:
 
 
 def _indicator_tables(ctx, graphs, depth, kept, threads) -> list[np.ndarray]:
-    """The kept depths' n x n tables, pair by pair, split over a fork pool."""
+    """The kept depths' upper triangles, pair by pair, split over a fork pool."""
     n = len(graphs)
     rows, cols = np.triu_indices(n)
     if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
@@ -178,23 +178,21 @@ def _indicator_tables(ctx, graphs, depth, kept, threads) -> list[np.ndarray]:
     for column in range(len(kept)):
         values = np.zeros((n, n))
         values[rows, cols] = flat[:, column]
-        values[cols, rows] = flat[:, column]
         tables.append(values)
     return tables
 
 
 def _feature_tables(ctx, packs, depth, kept) -> list[np.ndarray]:
-    """The kept depths' n x n tables from stacked feature vectors, a row at
-    a time, in this process: each entry is the sum pair_value forms for its
-    pair, so it has the same bits. A row's (n x features) product temporary
-    is no larger than one table once n reaches the feature width."""
+    """The kept depths' upper triangles from stacked feature vectors, a row
+    at a time, in this process: each entry is the sum pair_value forms for
+    its pair, so it has the same bits."""
     features = np.stack([pack.features(depth) for pack in packs], axis=1)  # (H, n, f)
     n = features.shape[1]
-    tables = [np.empty((n, n)) for _ in kept]
+    tables = [np.zeros((n, n)) for _ in kept]
     for i in range(n):
-        totals = ctx.feature_totals(features[:, i:i + 1], features)
+        totals = ctx.feature_totals(features[:, i], features[:, i:])
         for table, h in zip(tables, kept):
-            table[i] = totals[h - 1, 0]
+            table[i, i:] = totals[h - 1]
     return tables
 
 
@@ -213,9 +211,9 @@ def compute_gram(
     On the feature map (see stars.py) every entry is a weighted inner
     product of two graphs' feature vectors, formed in this process and
     `threads` is not used. Otherwise workers split the upper triangle into
-    contiguous blocks; every entry is computed by exactly one worker and
-    mirrored. Either way results do not depend on the worker count. Given
-    `depths`, integers in 1..plan.max_depth, one pass returns {h: the
+    contiguous blocks, one worker per entry. Either engine fills the upper
+    triangle, mirrored once, so results do not depend on the worker count.
+    Given `depths`, integers in 1..plan.max_depth, one pass returns {h: the
     depth-h Gram} for each of them: every pair's depth loop forms the
     running total of each shallower depth on its way.
     """
@@ -223,6 +221,8 @@ def compute_gram(
         raise DatasetError("no graphs")
     if not is_integer(threads) or threads < 1:
         raise ConfigError(f"threads must be an integer >= 1, got {threads!r}")
+    if not isinstance(normalize, (bool, np.bool_)):
+        raise ConfigError(f"normalize must be a bool, got {normalize!r}")
     params = params if params is not None else SimilarityParams()
     plan = plan if plan is not None else ExpansionPlan()
     if not isinstance(params, SimilarityParams):
@@ -257,7 +257,9 @@ def compute_gram(
         else:
             tables = _indicator_tables(ctx, ds.graphs, plan.max_depth, kept, int(threads))
         grams = {}
+        lower = np.tril_indices(ds.num_graphs, -1)
         for values, h in zip(tables, kept):
+            values[lower] = values.T[lower]
             meta = GramMeta(
                 dataset_digest=ds.digest,
                 gamma=params.gamma,
@@ -289,8 +291,8 @@ def normalize_gram(gram: GramMatrix) -> GramMatrix:
 
 def check_psd(gram, tol: float = 1e-8) -> PsdVerdict:
     """Spectral PSD check: min eigenvalue >= -tol * max(1, max eigenvalue)."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"tol must be finite and >= 0, got {tol}")
+    if not (is_real(tol) and math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol!r}")
     values = gram.values if isinstance(gram, GramMatrix) else np.asarray(gram, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] != values.shape[1]:
         raise InvalidGramError(f"psd check needs a square matrix, got shape {values.shape}")

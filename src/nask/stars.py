@@ -222,19 +222,19 @@ class KernelContext:
         self._packs[g.graph_id] = pack
         return pack
 
-    def feature_totals(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Running totals over depths of the weighted inner products of
-        every row feature vector with every column one, on the feature map:
-        (H, a, f) x (H, b, f) -> (H, a, b). Elementwise products and one sum
+    def feature_totals(self, row: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Running totals over depths of the weighted inner products of one
+        graph's feature vectors with each column graph's, on the feature
+        map: (H, f) x (H, b, f) -> (H, b). Elementwise products and one sum
         over the contiguous last axis, no BLAS: numpy sums each output's f
-        terms in the same pairwise order whatever a and b are, so a Gram
-        entry has the bits of its single-pair value."""
-        out = np.empty((rows.shape[0], rows.shape[1], cols.shape[1]))
-        total = np.zeros(out.shape[1:])
-        for h in range(rows.shape[0]):
-            prod = rows[h][:, None, :] * cols[h][None, :, :]
+        terms in the same pairwise order whatever b is, so a Gram entry has
+        the bits of its single-pair value."""
+        out = np.empty(cols.shape[:2])
+        total = np.zeros(cols.shape[1])
+        for h in range(cols.shape[0]):
+            prod = row[h] * cols[h]
             prod *= self.feature_weights
-            total = total + prod.sum(axis=2)
+            total = total + prod.sum(axis=1)
             out[h] = total
         return out
 
@@ -248,10 +248,8 @@ class KernelContext:
             raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
         pa, pb = self.register(ga), self.register(gb)
         if self.feature_weights is not None:
-            totals = self.feature_totals(
-                pa.features(max_depth)[:, None], pb.features(max_depth)[:, None]
-            )
-            return totals[:, 0, 0].tolist()
+            totals = self.feature_totals(pa.features(max_depth), pb.features(max_depth)[:, None])
+            return totals[:, 0].tolist()
         p_nodes = similarity_matrix(pa.nodes, pb.nodes, self.params)
         p_edges = None
         if self.use_edges:

@@ -221,8 +221,13 @@ def train_ovr(
     n = labels.shape[0]
     if K.shape != (n, n):
         raise SvmError(f"kernel block of shape {K.shape} for {n} labels")
+    values = np.unique(labels)
+    if values.dtype.kind == "f":
+        bad = values[~np.isfinite(values) | (values != np.trunc(values))]
+        if bad.size:
+            raise SvmError(f"label values must be integral, got {bad[0].item()!r}")
     if classes is None:
-        classes = sorted(set(int(v) for v in labels))
+        classes = [int(v) for v in values]
     else:
         classes = sorted(int(c) for c in classes)
         for c in classes:

@@ -162,6 +162,9 @@ class TestCvConfig:
             dict(tau=1.0),
             dict(tau=float("nan")),
             dict(edge_elements="both"),
+            dict(normalize_options=("off",)),
+            dict(normalize_options=(1, 0)),
+            dict(normalize_options=(None,)),
         ],
     )
     def test_invalid_configs_rejected(self, kwargs):
@@ -171,6 +174,16 @@ class TestCvConfig:
     def test_numpy_integers_are_accepted(self):
         cfg = CvConfig(folds=np.int64(3), threads=np.int64(2), depths=(np.int64(2), 3))
         assert [point[1] for point in cfg.grid()[::14]] == [2, 3] * 3
+
+    def test_numpy_scalars_give_the_report_of_python_ones(self):
+        plain = dict(folds=3, repeats=1, gammas=(1.0,), depths=(1, 2),
+                     normalize_options=(True, False), costs=(1.0,))
+        numpy = dict(folds=np.int64(3), repeats=1, gammas=(np.float64(1.0),),
+                     depths=(np.int64(1), 2), normalize_options=(np.True_, np.False_),
+                     costs=(1.0,))
+        reports = [cross_validate(easy_dataset(), CvConfig(**kw)) for kw in (plain, numpy)]
+        assert [r.config for r in reports] == [reports[0].config] * 2
+        assert reports[1].results_digest() == reports[0].results_digest()
 
 
 class TestCrossValidate:

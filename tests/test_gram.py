@@ -40,9 +40,9 @@ import synth
 INDEFINITE = np.array([[1.0, 1.5], [1.5, 1.0]])
 
 # run in a fresh interpreter, so the BLAS thread count comes from the environment;
-# argv holds the directories to import nask and synth from; one digest per
-# --threads value
-BENCH2_DIGEST = """
+# argv holds the directories to import nask and synth from; one bench2 digest
+# per --threads value, then the wide6-200-H4 digest
+BLAS_DIGESTS = """
 import hashlib, sys
 sys.path[:0] = sys.argv[1:]
 import nask, synth
@@ -50,6 +50,9 @@ ds = nask.compute_ranges(synth.benchmark_dataset())
 for threads in (1, 2, 3):
     gram = nask.compute_gram(ds, plan=nask.ExpansionPlan(max_depth=4), threads=threads)
     print(hashlib.sha256(gram.values.tobytes()).hexdigest())
+ds = nask.compute_ranges(synth.wide_attribute_dataset(seed=11, count=200))
+gram = nask.compute_gram(ds, plan=nask.ExpansionPlan(max_depth=4), threads=2)
+print(hashlib.sha256(gram.values.tobytes()).hexdigest())
 """
 
 # SHA-256 of compute_gram(...).values.tobytes(), frozen so that an engine
@@ -173,11 +176,13 @@ class TestComputeGram:
         for count in ("1", "2"):
             env = dict(os.environ, OPENBLAS_NUM_THREADS=count, OMP_NUM_THREADS=count)
             run = subprocess.run(
-                [sys.executable, "-c", BENCH2_DIGEST, str(tests.parent / "src"), str(tests)],
+                [sys.executable, "-c", BLAS_DIGESTS, str(tests.parent / "src"), str(tests)],
                 env=env, capture_output=True, text=True, check=True,
             )
             digests[count] = run.stdout.split()
-        pinned = [PINNED_GRAM_SHA256["bench2-H4"]] * 3
+        # the indicator engine's dense products hold on wide6's graphs of at
+        # most 16 nodes; on 100-300-node graphs at tau = 0 they do not yet
+        pinned = [PINNED_GRAM_SHA256["bench2-H4"]] * 3 + [PINNED_GRAM_SHA256["wide6-200-H4"]]
         assert digests == {"1": pinned, "2": pinned}
 
     def test_recompute_is_bit_identical(self):
@@ -185,6 +190,11 @@ class TestComputeGram:
         a = compute_gram(ds, SimilarityParams(gamma=2.0), ExpansionPlan(max_depth=4))
         b = compute_gram(ds, SimilarityParams(gamma=2.0), ExpansionPlan(max_depth=4))
         assert a.values.tobytes() == b.values.tobytes()
+
+    @pytest.mark.parametrize("normalize", ["no", 0, 1.0, None])
+    def test_normalize_flag_must_be_a_bool(self, normalize):
+        with pytest.raises(ConfigError, match="normalize"):
+            compute_gram(small_dataset(count=4), normalize=normalize)
 
     def test_normalize_flag_equals_post_normalization(self):
         ds = small_dataset(seed=34, count=6)
@@ -243,7 +253,7 @@ class TestComputeGram:
         ds = small_dataset(count=4)
         gram = compute_gram(
             ds, SimilarityParams(gamma=np.int64(2)), ExpansionPlan(max_depth=np.int64(2)),
-            threads=np.int64(2), depths=(np.int64(1), 2),
+            threads=np.int64(2), depths=(np.int64(1), 2), normalize=np.False_,
         )[1]
         assert gram.values.tobytes() == compute_gram(
             ds, SimilarityParams(gamma=2.0), ExpansionPlan(max_depth=1)
@@ -282,6 +292,20 @@ class TestComputeGram:
             monkeypatch.setattr(GramMatrix, "__post_init__", exhausted)
         with pytest.raises(GramComputeError, match=f"n={ds.num_graphs} graphs"):
             compute_gram(ds)
+
+    def test_feature_map_forms_each_unordered_pair_once(self, monkeypatch):
+        columns = []
+        totals = KernelContext.feature_totals
+
+        def spy(ctx, row, cols):
+            columns.append(cols.shape[1])
+            return totals(ctx, row, cols)
+
+        monkeypatch.setattr(KernelContext, "feature_totals", spy)
+        gram = pinned_gram("bench2-H4")
+        n = gram.n
+        assert sum(columns) == n * (n + 1) // 2 == 17766
+        assert sha256(gram) == PINNED_GRAM_SHA256["bench2-H4"]
 
     @pytest.mark.parametrize("name", sorted(PINNED_GRAM_SHA256))
     def test_values_match_the_pinned_digest(self, name):
@@ -386,7 +410,7 @@ class TestCheckPsd:
         with pytest.raises(InvalidGramError):
             check_psd(np.ones((2, 3)))
 
-    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+    @pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf"), True, "1e-8"])
     def test_tolerance_must_be_finite_and_nonnegative(self, tol):
         with pytest.raises(ConfigError, match="tol"):
             check_psd(np.eye(3), tol=tol)

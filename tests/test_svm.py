@@ -320,6 +320,23 @@ class TestMulticlass:
         with pytest.raises(DegenerateClassError):
             train_ovr(K, labels, C=1.0, classes=(0, 1, 2, 9))
 
+    @pytest.mark.parametrize("labels, named", [
+        ([1.5, 0.5, 1.5, 0.5], "0.5"),
+        ([0.0, 1.0, 0.0, np.nan], "nan"),
+    ])
+    def test_non_integral_labels_are_named(self, labels, named):
+        with pytest.raises(SvmError, match=f"got {named}$") as caught:
+            train_ovr(np.eye(4), labels, C=1.0)
+        assert not isinstance(caught.value, DegenerateClassError)
+
+    def test_integral_float_and_bool_labels_train_like_integers(self):
+        K, labels = self.make_problem(classes=2)
+        expected = train_ovr(K, labels, C=1.0)
+        for same in (labels.astype(np.float64), labels.astype(bool)):
+            model = train_ovr(K, same, C=1.0)
+            assert model.classes == expected.classes == (0, 1)
+            assert np.array_equal(model.machines[0].alpha, expected.machines[0].alpha)
+
 
 class TestSerialization:
     def test_round_trip_preserves_predictions(self, tmp_path):
