@@ -245,7 +245,7 @@ def compute_gram(
             if ctx.feature_weights is not None:
                 pack.features(plan.max_depth)
             else:
-                pack.family(min(plan.max_depth, pack.n))  # warm caches before forking
+                pack.ball(min(plan.max_depth, pack.n))  # grow every level before forking
         except MemoryError as exc:
             raise GramComputeError(f"resource exhaustion while packing graph {index}") from exc
         packs.append(pack)

@@ -26,12 +26,21 @@ setting to choose:
   incidence E_h, and zero for h > |V|, which makes the per-pair cap
   min(H, |V|, |V'|) exact. The weights w = q (x) (q, qe) carry gamma.
 - The indicator engine otherwise (tau > 0, numerical dimensions, or a
-  wider schema): one pair of matrix products over the two graphs'
-  indicators and their similarity matrices sums every star pair at once.
+  wider schema): one pair of matrix products over the two graphs' ball
+  indicators and their node similarity matrix sums every star pair at
+  once. Edge elements add a second term. When every edge dimension is
+  categorical with a categories table, that term is C_a diag(qe) C_b^T
+  over the per-star edge-label counts C_h = E_h Oe (n x r_e exact
+  integers), by the same factorization, so no edge similarity matrix is
+  formed and no deep edge indicator is kept. Otherwise (a numerical edge
+  dimension) it is E_a P_e E_b^T over the edge indicators and the edge
+  similarity matrix.
 
-Both evaluate each pair in a fixed order that does not depend on worker or
-BLAS thread counts (the feature counts are exact integers). The literal
-star-by-star semantics, with set-grown neighborhoods and scalar
+Each pair is evaluated in a fixed order that does not depend on the worker
+count. The feature and label counts are exact integers, but OpenBLAS may
+sum the indicator engine's dense node products in an order that follows
+its thread count, which shows on graphs of a few hundred nodes. The
+literal star-by-star semantics, with set-grown neighborhoods and scalar
 similarities, live in tests/oracles.py as the reference that both engines
 are checked against.
 """
@@ -92,18 +101,22 @@ class _GraphPack:
     star (I + A and the incidence matrix); each deeper level multiplies the
     previous ball by the depth-1 indicators, adding the edges incident to it
     and the nodes they reach. Levels grow lazily and stop once saturated.
-    Given the category counts of the feature map, it also keeps the
-    elements' one-hot rows and the feature vectors built so far, and only
-    the depth-1 indicators once those are built.
+
+    Given edge category counts, the pack keeps the edges' one-hot rows Oe
+    and, per depth, the edge-label counts C_h = E_h Oe (n x r_e exact
+    integers) in place of the deeper edge indicators; family() recomputes
+    those on demand. Given node category counts too (the feature map), it
+    also keeps the nodes' one-hot rows and the feature vectors built so
+    far, and only the depth-1 levels once those are built.
     """
 
     __slots__ = (
         "graph", "n", "nodes", "edge_pack", "_balls", "_eincs", "_saturated",
-        "_onehots", "_features",
+        "_node_hot", "_edge_hot", "_label_counts", "_features",
     )
 
     def __init__(self, g: AttributedGraph, schema: AttributeSchema, use_edges: bool,
-                 counts: tuple | None = None):
+                 node_counts: tuple | None = None, edge_counts: tuple | None = None):
         self.graph = g
         self.n = g.num_nodes
         self.nodes = PackedAttrs(schema.node_dims, g.node_attrs, f"graph {g.graph_id} node")
@@ -124,49 +137,71 @@ class _GraphPack:
         self._balls = [ball]
         self._eincs = [einc]
         self._saturated = False
-        self._onehots = None
+        self._node_hot = None if node_counts is None else _one_hot(self.nodes, node_counts)
+        self._edge_hot = None if edge_counts is None else _one_hot(self.edge_pack, edge_counts)
+        self._label_counts = []  # built with the levels, not here
         self._features = None
-        if counts is not None:
-            node_counts, edge_counts = counts
-            edge_hot = _one_hot(self.edge_pack, edge_counts) if use_edges else None
-            self._onehots = (_one_hot(self.nodes, node_counts), edge_hot)
 
-    def family(self, depth: int):
-        """Indicator matrices (ball, edge membership) for the given depth."""
+    def _level(self, depth: int) -> int:
+        """Grow the levels up to depth, or to saturation; depth's index."""
         if depth < 1:
             raise ConfigError(f"family depth must be >= 1, got {depth}")
+        counted = self._edge_hot is not None
+        if counted and not self._label_counts:
+            self._label_counts.append(self._eincs[0] @ self._edge_hot)
         while len(self._balls) < depth and not self._saturated:
             last = self._balls[-1]
             nxt = ((last @ self._balls[0]) > 0).astype(np.float64)
             enxt = ((last @ self._eincs[0]) > 0).astype(np.float64)
-            if np.array_equal(nxt, last) and np.array_equal(enxt, self._eincs[-1]):
+            # edge sets only grow with depth and Oe's first column counts
+            # every edge, so equal counts mean equal sets
+            if counted:
+                grown, kept = enxt @ self._edge_hot, self._label_counts
+            else:
+                grown, kept = enxt, self._eincs
+            if np.array_equal(nxt, last) and np.array_equal(grown, kept[-1]):
                 self._saturated = True
                 break
             self._balls.append(nxt)
-            self._eincs.append(enxt)
-        idx = min(depth, len(self._balls)) - 1
-        return self._balls[idx], self._eincs[idx]
+            kept.append(grown)
+        return min(depth, len(self._balls)) - 1
+
+    def ball(self, depth: int) -> np.ndarray:
+        """The depth-h ball indicator."""
+        return self._balls[self._level(depth)]
+
+    def label_counts(self, depth: int) -> np.ndarray:
+        """C_h = E_h Oe: row v counts the edges of the depth-h star at v
+        (column 0) and their symbols per edge dimension."""
+        return self._label_counts[self._level(depth)]
+
+    def family(self, depth: int):
+        """Indicator matrices (ball, edge membership) for the given depth."""
+        idx = self._level(depth)
+        if idx < len(self._eincs):
+            return self._balls[idx], self._eincs[idx]
+        # a counted pack keeps only the depth-1 edge indicator
+        return self._balls[idx], ((self._balls[idx - 1] @ self._eincs[0]) > 0).astype(np.float64)
 
     def features(self, depth: int) -> np.ndarray:
         """Feature count vectors of depths 1..depth, one row each.
 
-        Row h-1 is (O^T B_h O, O^T E_h Oe) flattened, where O and Oe are the
-        node and edge one-hot rows; products of 0/1 matrices, so every entry
-        is an exact integer whatever the BLAS. Rows past |V| are zero. The
-        deeper indicator levels are dropped afterwards: the counts hold all
-        this engine needs of them.
+        Row h-1 is (O^T B_h O, O^T C_h) flattened, where O is the node
+        one-hot rows and C_h the edge-label counts; products of 0/1 and
+        integer matrices, so every entry is an exact integer whatever the
+        BLAS. Rows past |V| are zero. The deeper levels are dropped
+        afterwards: the counts hold all this engine needs of them.
         """
         if self._features is None or len(self._features) < depth:
-            nodes, edges = self._onehots
+            nodes, edges = self._node_hot, self._edge_hot
             width = nodes.shape[1] * (nodes.shape[1] + (0 if edges is None else edges.shape[1]))
             self._features = np.zeros((depth, width))
             for h in range(1, min(depth, self.n) + 1):
-                ball, einc = self.family(h)
-                parts = [(nodes.T @ ball @ nodes).ravel()]
+                parts = [(nodes.T @ self.ball(h) @ nodes).ravel()]
                 if edges is not None:
-                    parts.append((nodes.T @ einc @ edges).ravel())
+                    parts.append((nodes.T @ self.label_counts(h)).ravel())
                 self._features[h - 1] = np.concatenate(parts)
-            del self._balls[1:], self._eincs[1:]
+            del self._balls[1:], self._eincs[1:], self._label_counts[1:]
             self._saturated = False
         return self._features[:depth]
 
@@ -193,21 +228,26 @@ class KernelContext:
             edge_elements == "auto" and schema.has_edge_attrs
         )
         self._packs: dict[int, _GraphPack] = {}
-        # (node, edge) category counts and the feature weights when the
-        # feature map applies; None selects the indicator engine
-        self._counts = None
-        self.feature_weights = None
+        # the (node, edge) category counts the packs one-hot encode: both on
+        # the feature map, the edge ones alone when the indicator engine
+        # takes edge-label counts
+        self._counts = (None, None)
+        self.feature_weights = None  # set when the feature map applies
+        self.edge_weights = None  # qe, set when edge labels enter as counts
+        floor = math.exp(-self.params.gamma)
         node_counts = _category_counts(schema.node_dims)
         edge_counts = _category_counts(schema.edge_dims) if self.use_edges else ()
+        q_edges = _column_weights(edge_counts, floor) if edge_counts else np.empty(0)
         if self.tau == 0.0 and node_counts is not None and edge_counts is not None:
-            floor = math.exp(-self.params.gamma)
             q_nodes = _column_weights(node_counts, floor)
-            q_edges = _column_weights(edge_counts, floor) if self.use_edges else np.empty(0)
             if q_nodes.size * (q_nodes.size + q_edges.size) <= MAX_FEATURES:
-                self._counts = (node_counts, edge_counts)
+                self._counts = (node_counts, edge_counts or None)
                 self.feature_weights = np.concatenate(
                     [np.outer(q_nodes, q_nodes).ravel(), np.outer(q_nodes, q_edges).ravel()]
                 )
+        if self.feature_weights is None and edge_counts:
+            self._counts = (None, edge_counts)
+            self.edge_weights = q_edges
 
     def register(self, g: AttributedGraph) -> _GraphPack:
         """Pack a graph for kernel evaluation; idempotent per graph_id."""
@@ -218,7 +258,7 @@ class KernelContext:
                     f"a different graph with id {g.graph_id} is already registered"
                 )
             return pack
-        pack = _GraphPack(g, self.schema, self.use_edges, self._counts)
+        pack = _GraphPack(g, self.schema, self.use_edges, *self._counts)
         self._packs[g.graph_id] = pack
         return pack
 
@@ -252,18 +292,19 @@ class KernelContext:
             return totals[:, 0].tolist()
         p_nodes = similarity_matrix(pa.nodes, pb.nodes, self.params)
         p_edges = None
-        if self.use_edges:
+        if self.use_edges and self.edge_weights is None:
             p_edges = similarity_matrix(pa.edge_pack, pb.edge_pack, self.params)
         weights = np.where(p_nodes >= self.tau, p_nodes, 0.0)
         cap = min(max_depth, pa.n, pb.n)
         totals = []
         total = 0.0
         for h in range(1, cap + 1):
-            ball_a, einc_a = pa.family(h)
-            ball_b, einc_b = pb.family(h)
-            m = ball_a @ p_nodes @ ball_b.T
-            if p_edges is not None:
-                m = m + einc_a @ p_edges @ einc_b.T
+            m = pa.ball(h) @ p_nodes @ pb.ball(h).T
+            if self.edge_weights is not None:
+                # P_e = Oe_a diag(qe) Oe_b^T, so E_a P_e E_b^T = C_a diag(qe) C_b^T
+                m = m + (pa.label_counts(h) * self.edge_weights) @ pb.label_counts(h).T
+            elif p_edges is not None:
+                m = m + pa.family(h)[1] @ p_edges @ pb.family(h)[1].T
             total += float((weights * m).sum())
             totals.append(total)
         return totals + [total] * (max_depth - cap)

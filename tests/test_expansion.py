@@ -5,8 +5,11 @@ import itertools
 import numpy as np
 import pytest
 
+from nask import stars
+from nask.datasets import compute_ranges
 from nask.errors import ConfigError
 from nask.expansion import ExpansionPlan, nask_kernel
+from nask.graph import AttributedGraph, AttributeSchema, build_adjacency
 from nask.similarity import SimilarityParams
 from nask.stars import KernelContext, graph_kernel_KS
 
@@ -66,14 +69,21 @@ class TestExpandStar:
 
 class TestMatrixFamilyAgreement:
     def test_indicators_match_object_families(self, full_schema):
-        # the oracle grows each star as a Python set, one hop at a time
-        rng = np.random.default_rng(21)
-        for trial in range(6):
-            g = synth.random_graph(rng, full_schema, graph_id=trial, min_nodes=2, max_nodes=12)
-            pack = KernelContext(full_schema).register(g)
-            for depth in range(1, 5):
-                for v, ball, edges in oracles.ref_family(g, depth):
-                    assert star_rows(pack, depth, v) == (tuple(sorted(ball)), tuple(sorted(edges)))
+        # a numerical edge dimension keeps every edge indicator; categorical
+        # edges alone keep label counts and recompute the deeper indicators
+        counted = synth.mixed_schema(n_cat=1, n_num=1, edge_cat=1)
+        for schema in (full_schema, counted):
+            # the oracle grows each star as a Python set, one hop at a time
+            rng = np.random.default_rng(21)
+            for trial in range(6):
+                g = synth.random_graph(rng, schema, graph_id=trial, min_nodes=2, max_nodes=12)
+                pack = KernelContext(schema).register(g)
+                for depth in range(1, 5):
+                    for v, ball, edges in oracles.ref_family(g, depth):
+                        rows = (tuple(sorted(ball)), tuple(sorted(edges)))
+                        assert star_rows(pack, depth, v) == rows
+                kept = 1 if schema is counted else len(pack._balls)
+                assert len(pack._eincs) == kept
 
 
 class TestNaskKernel:
@@ -176,3 +186,95 @@ class TestNaskKernel:
             pa = permute_graph(ga, perm)
             value = nask_kernel(pa, gb, ExpansionPlan(max_depth=3), KernelContext(full_schema))
             assert value == pytest.approx(base, rel=1e-12)
+
+
+def counted_set(edge_cat: int, seed: int = 51):
+    """Numerical node dimensions and edge_cat categorical edge dimensions:
+    connected graphs of 1-5 nodes plus edgeless 2- and 3-node graphs."""
+    schema = synth.mixed_schema(n_cat=0, n_num=2, edge_cat=edge_cat, cat_card=3)
+    rng = np.random.default_rng(seed)
+    graphs = [
+        synth.random_graph(rng, schema, graph_id=i, min_nodes=n, max_nodes=n)
+        for i, n in enumerate((1, 2, 3, 4, 5, 5))
+    ]
+    for n in (2, 3):
+        graphs.append(AttributedGraph(
+            graph_id=len(graphs),
+            adjacency=build_adjacency(n, []),
+            node_attrs=tuple(synth.random_vector(rng, schema.node_dims) for _ in range(n)),
+            edge_attrs=(),
+            label=0,
+        ))
+    return compute_ranges(synth.dataset_from_graphs(graphs, f"counted{edge_cat}", schema))
+
+
+class TestEdgeLabelCounts:
+    """All-categorical edge labels enter the indicator engine as per-star
+    label counts C_h = E_h Oe, whatever the node dimensions."""
+
+    def test_routing(self):
+        counted = synth.mixed_schema(n_cat=0, n_num=2, edge_cat=2)
+        assert KernelContext(counted).edge_weights is not None
+        assert KernelContext(counted, tau=0.5).edge_weights is not None
+        assert KernelContext(counted, edge_elements="off").edge_weights is None
+        # a numerical edge dimension stays dense
+        numeric_edges = synth.mixed_schema(n_cat=0, n_num=2, edge_cat=1, edge_num=1)
+        assert KernelContext(numeric_edges).edge_weights is None
+        # the feature map takes its own edge counts
+        categorical = synth.mixed_schema(n_cat=1, n_num=0, edge_cat=1)
+        assert KernelContext(categorical).edge_weights is None
+        assert KernelContext(categorical, tau=0.5).edge_weights is not None
+
+        # r_e = 1 + the edge symbol count, with no bound on the symbol count
+        wide = AttributeSchema(node_dims=(synth.numerical_dim("x"),),
+                               edge_dims=(synth.categorical_dim("e", 200),))
+        assert KernelContext(wide).edge_weights.size == 201
+
+    @pytest.mark.parametrize("mode", ["on", "off"])
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    @pytest.mark.parametrize("gamma", [0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("edge_cat", [1, 2])
+    def test_every_depth_matches_the_oracle(self, edge_cat, gamma, tau, mode):
+        ds = counted_set(edge_cat)
+        ctx = KernelContext(ds.schema, SimilarityParams(gamma=gamma), tau=tau, edge_elements=mode)
+        assert (ctx.edge_weights is not None) == (mode == "on")
+        params = OracleParams(ds.schema, gamma=gamma, tau=tau, use_edges=mode == "on")
+        worst = 0.0
+        for a, ga in enumerate(ds.graphs):
+            for gb in ds.graphs[a:]:
+                totals = ctx.pair_value(ga, gb, 5)
+                for h in range(1, 6):
+                    want = oracles.oracle_NASK(ga, gb, h, params)
+                    worst = max(worst, abs(totals[h - 1] - want) / max(abs(want), 1e-300))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("edge_num,edge_calls", [(0, 0), (1, 1)])
+    def test_counts_replace_the_edge_similarity(self, monkeypatch, edge_num, edge_calls):
+        schema = synth.mixed_schema(n_cat=0, n_num=2, edge_cat=1, edge_num=edge_num)
+        rng = np.random.default_rng(52)
+        ga, gb = (synth.random_graph(rng, schema, graph_id=i, min_nodes=4, max_nodes=8)
+                  for i in range(2))
+        ctx = KernelContext(schema)
+        packs = [ctx.register(ga), ctx.register(gb)]
+        calls = []
+        similarity = stars.similarity_matrix
+
+        def spy(a, b, p):
+            calls.append(a is packs[0].edge_pack)
+            return similarity(a, b, p)
+
+        monkeypatch.setattr(stars, "similarity_matrix", spy)
+        ctx.pair_value(ga, gb, 3)
+        assert calls == [False] + [True] * edge_calls
+
+    def test_counted_pack_adds_edges_inside_a_saturated_ball(self):
+        schema = synth.mixed_schema(n_cat=0, n_num=1, edge_cat=1)
+        edges = {(0, 1): (0,), (1, 2): (1,), (0, 2): (1,)}
+        g = graph_with(0, 3, list(edges), [(0.1,), (0.5,), (0.9,)], edges)
+        pack = KernelContext(schema).register(g)
+        # the ball at 0 is full at depth 1; the leaf-leaf edge joins at depth 2
+        assert star_rows(pack, 2, 0) == ((0, 1, 2), ((0, 1), (0, 2), (1, 2)))
+        assert pack.label_counts(1)[0].tolist() == [2.0, 1.0, 1.0, 0.0, 0.0]
+        assert pack.label_counts(2)[0].tolist() == [3.0, 1.0, 2.0, 0.0, 0.0]
+        assert np.array_equal(pack.label_counts(5), pack.label_counts(2))
+        assert len(pack._balls) == 2

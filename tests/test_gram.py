@@ -40,19 +40,19 @@ import synth
 INDEFINITE = np.array([[1.0, 1.5], [1.5, 1.0]])
 
 # run in a fresh interpreter, so the BLAS thread count comes from the environment;
-# argv holds the directories to import nask and synth from; one bench2 digest
-# per --threads value, then the wide6-200-H4 digest
+# argv holds the directories to import nask, synth and this module from; one
+# bench2 digest per --threads value, then the wide6-200-H4 and large-H3-tau0.6
+# digests
 BLAS_DIGESTS = """
 import hashlib, sys
 sys.path[:0] = sys.argv[1:]
-import nask, synth
+import nask, synth, test_gram
 ds = nask.compute_ranges(synth.benchmark_dataset())
 for threads in (1, 2, 3):
     gram = nask.compute_gram(ds, plan=nask.ExpansionPlan(max_depth=4), threads=threads)
     print(hashlib.sha256(gram.values.tobytes()).hexdigest())
-ds = nask.compute_ranges(synth.wide_attribute_dataset(seed=11, count=200))
-gram = nask.compute_gram(ds, plan=nask.ExpansionPlan(max_depth=4), threads=2)
-print(hashlib.sha256(gram.values.tobytes()).hexdigest())
+for name in ("wide6-200-H4", "large-H3-tau0.6"):
+    print(test_gram.sha256(test_gram.pinned_gram(name)))
 """
 
 # SHA-256 of compute_gram(...).values.tobytes(), frozen so that an engine
@@ -61,7 +61,7 @@ print(hashlib.sha256(gram.values.tobytes()).hexdigest())
 PINNED_GRAM_SHA256 = {
     "bench2-H4": "9c2e17db17df62b06b8b426e02f77ab0ce9f52142d504bb28cec94809b763fbc",
     "wide6-200-H4": "ed9693a1b5140544dcd1d40a581c7475b4fa6c846adc21626ab91420c9e02802",
-    "large-H3-tau0.6": "6b5f9b5f5e62ed607af177edfbf5eda412720bb6f6aa64a7ef3680cca79e43eb",
+    "large-H3-tau0.6": "8229e51a8c0b5a41bc06370fceb2a6eb4cf89999e74927896d4033cbc2acaf7d",
 }
 
 
@@ -180,9 +180,11 @@ class TestComputeGram:
                 env=env, capture_output=True, text=True, check=True,
             )
             digests[count] = run.stdout.split()
-        # the indicator engine's dense products hold on wide6's graphs of at
-        # most 16 nodes; on 100-300-node graphs at tau = 0 they do not yet
-        pinned = [PINNED_GRAM_SHA256["bench2-H4"]] * 3 + [PINNED_GRAM_SHA256["wide6-200-H4"]]
+        # the indicator engine's dense node products hold on wide6's graphs
+        # of at most 16 nodes and on the 100-300-node graphs at tau = 0.6, but
+        # not yet on those graphs at tau = 0
+        pinned = [PINNED_GRAM_SHA256["bench2-H4"]] * 3 + [
+            PINNED_GRAM_SHA256["wide6-200-H4"], PINNED_GRAM_SHA256["large-H3-tau0.6"]]
         assert digests == {"1": pinned, "2": pinned}
 
     def test_recompute_is_bit_identical(self):
@@ -275,7 +277,8 @@ class TestComputeGram:
         def exhausted(pack, depth):
             raise MemoryError
 
-        monkeypatch.setattr(stars._GraphPack, "family", exhausted)
+        # every indicator level grows in _level
+        monkeypatch.setattr(stars._GraphPack, "_level", exhausted)
         with pytest.raises(GramComputeError, match="packing graph 0"):
             compute_gram(small_dataset(count=4))
 
