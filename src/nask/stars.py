@@ -9,10 +9,9 @@ sums this over all star pairs.
 
 KernelContext holds everything shared across pair evaluations for one
 schema: similarity parameters, the edge-element mode, the pruning
-threshold, and per-graph packs with cached per-depth ball and
-edge-incidence indicators. Row v of a depth-h indicator is the depth-h
-star at v. The context picks one of two engines from the schema, with no
-setting to choose:
+threshold, and per-graph packs with cached per-depth balls and edge rows.
+Row v of a depth-h matrix is the depth-h star at v. The context picks
+one of two engines from the schema, with no setting to choose:
 
 - The feature map, when tau == 0, every node dimension (and every edge
   dimension, when edge elements are on) is categorical with a categories
@@ -22,8 +21,8 @@ setting to choose:
   constant column, P = O diag(q) O'^T with q = (e^-gamma, (1 - e^-gamma)/d,
   ...). So each depth-h term of the kernel is a weighted inner product
   sum_k w_k phi_k phi'_k of per-graph count vectors phi = (O^T B_h O,
-  O^T E_h Oe): integer counts read off the depth-h ball B_h and edge
-  incidence E_h, and zero for h > |V|, which makes the per-pair cap
+  O^T E_h Oe): integer counts read off the depth-h ball B_h and star
+  edges E_h, and zero for h > |V|, which makes the per-pair cap
   min(H, |V|, |V'|) exact. The weights w = q (x) (q, qe) carry gamma.
 - The indicator engine otherwise (tau > 0, numerical dimensions, or a
   wider schema): one pair of matrix products over the two graphs' ball
@@ -32,9 +31,8 @@ setting to choose:
   categorical with a categories table, that term is C_a diag(qe) C_b^T
   over the per-star edge-label counts C_h = E_h Oe (n x r_e exact
   integers), by the same factorization, so no edge similarity matrix is
-  formed and no deep edge indicator is kept. Otherwise (a numerical edge
-  dimension) it is E_a P_e E_b^T over the edge indicators and the edge
-  similarity matrix.
+  formed. Otherwise (a numerical edge dimension) it is E_a P_e E_b^T over
+  the edge indicators and the edge similarity matrix.
 
 Each pair is evaluated in a fixed order that does not depend on the worker
 count. The feature and label counts are exact integers, but OpenBLAS may
@@ -93,26 +91,25 @@ def _column_weights(counts: tuple[int, ...], floor: float) -> np.ndarray:
 
 
 class _GraphPack:
-    """Packed attributes and per-depth family indicators for one graph.
+    """Packed attributes, per-depth balls and edge rows for one graph.
 
-    The pack keeps no adjacency or incidence matrix, only indicators:
-    balls[h-1][v, u] == 1 iff u lies within h hops of v; edge_inc[h-1][v, e]
-    == 1 iff edge e belongs to the depth-h star at v. Depth 1 is the plain
-    star (I + A and the incidence matrix); each deeper level multiplies the
-    previous ball by the depth-1 indicators, adding the edges incident to it
-    and the nodes they reach. Levels grow lazily and stop once saturated.
-
-    Given edge category counts, the pack keeps the edges' one-hot rows Oe
-    and, per depth, the edge-label counts C_h = E_h Oe (n x r_e exact
-    integers) in place of the deeper edge indicators; family() recomputes
-    those on demand. Given node category counts too (the feature map), it
-    also keeps the nodes' one-hot rows and the feature vectors built so
-    far, and only the depth-1 levels once those are built.
+    balls[h-1][v, u] == 1 iff u lies within h hops of v; depth 1 is I + A
+    and each deeper ball is the previous one times it. No incidence matrix
+    is kept, only the edge endpoints (u, w) as a 2 x m index array: the
+    depth-h star at v holds edge e iff an endpoint of e lies in the
+    depth-(h-1) ball at v, so E_h = max(B_{h-1}[:, u], B_{h-1}[:, w]) with
+    B_0 = I. With edge elements on, _eincs holds the per-depth edge rows
+    the engine contracts: E_h, or C_h = E_h Oe (n x r_e exact integers)
+    given edge category counts, Oe being the edges' one-hot rows; with
+    them off it stays empty. Levels grow lazily and stop once saturated.
+    Given node category counts too (the feature map), the pack also keeps
+    the nodes' one-hot rows and the feature vectors built so far, and only
+    the depth-1 levels once those are built.
     """
 
     __slots__ = (
-        "graph", "n", "nodes", "edge_pack", "_balls", "_eincs", "_saturated",
-        "_node_hot", "_edge_hot", "_label_counts", "_features",
+        "graph", "n", "nodes", "edge_pack", "_ends", "_balls", "_eincs", "_saturated",
+        "_node_hot", "_edge_hot", "_features",
     )
 
     def __init__(self, g: AttributedGraph, schema: AttributeSchema, use_edges: bool,
@@ -129,59 +126,63 @@ class _GraphPack:
                 )
             vectors = [vec for _, vec in (g.edge_attrs or ())]
             self.edge_pack = PackedAttrs(schema.edge_dims, vectors, f"graph {g.graph_id} edge")
-        ends = np.array(g.edges, dtype=np.intp).reshape(m, 2)
+        self._ends = np.array(g.edges, dtype=np.intp).reshape(m, 2).T
+        u, w = self._ends
         ball = np.eye(self.n)
-        ball[ends, ends[:, ::-1]] = 1.0
-        einc = np.zeros((self.n, m))
-        einc[ends.T, np.arange(m)] = 1.0
+        ball[u, w] = ball[w, u] = 1.0
         self._balls = [ball]
-        self._eincs = [einc]
+        self._eincs = []  # built with the levels, not here
         self._saturated = False
         self._node_hot = None if node_counts is None else _one_hot(self.nodes, node_counts)
         self._edge_hot = None if edge_counts is None else _one_hot(self.edge_pack, edge_counts)
-        self._label_counts = []  # built with the levels, not here
         self._features = None
+
+    def _incidence(self, ball: np.ndarray) -> np.ndarray:
+        """max(ball[:, u], ball[:, w]), the edges meeting each row of ball,
+        written C-ordered: a column gather is F-ordered, and the layout
+        sets the bits of the edge products."""
+        u, w = self._ends
+        return np.maximum(ball[:, u], ball[:, w], out=np.empty((self.n, u.size)))
+
+    def _edge_rows_after(self, ball: np.ndarray) -> np.ndarray:
+        """The next level's edge rows: E, or E Oe given edge category counts."""
+        rows = self._incidence(ball)
+        return rows if self._edge_hot is None else rows @ self._edge_hot
 
     def _level(self, depth: int) -> int:
         """Grow the levels up to depth, or to saturation; depth's index."""
         if depth < 1:
             raise ConfigError(f"family depth must be >= 1, got {depth}")
-        counted = self._edge_hot is not None
-        if counted and not self._label_counts:
-            self._label_counts.append(self._eincs[0] @ self._edge_hot)
+        edged = self.edge_pack is not None
+        if edged and not self._eincs:
+            self._eincs.append(self._edge_rows_after(np.eye(self.n)))
         while len(self._balls) < depth and not self._saturated:
             last = self._balls[-1]
-            nxt = ((last @ self._balls[0]) > 0).astype(np.float64)
-            enxt = ((last @ self._eincs[0]) > 0).astype(np.float64)
-            # edge sets only grow with depth and Oe's first column counts
-            # every edge, so equal counts mean equal sets
-            if counted:
-                grown, kept = enxt @ self._edge_hot, self._label_counts
-            else:
-                grown, kept = enxt, self._eincs
-            if np.array_equal(nxt, last) and np.array_equal(grown, kept[-1]):
+            ball = ((last @ self._balls[0]) > 0).astype(np.float64)
+            # edge sets only grow with depth and Oe's first column counts every
+            # edge, so equal rows mean equal sets, and so an equal ball, as
+            # B_{h+1} = B_h | ends(E_{h+1}); a pack without edge rows compares balls
+            rows = self._edge_rows_after(last) if edged else ball
+            if np.array_equal(rows, (self._eincs if edged else self._balls)[-1]):
                 self._saturated = True
                 break
-            self._balls.append(nxt)
-            kept.append(grown)
+            self._balls.append(ball)
+            if edged:
+                self._eincs.append(rows)
         return min(depth, len(self._balls)) - 1
 
     def ball(self, depth: int) -> np.ndarray:
         """The depth-h ball indicator."""
         return self._balls[self._level(depth)]
 
-    def label_counts(self, depth: int) -> np.ndarray:
-        """C_h = E_h Oe: row v counts the edges of the depth-h star at v
-        (column 0) and their symbols per edge dimension."""
-        return self._label_counts[self._level(depth)]
+    def edge_rows(self, depth: int) -> np.ndarray:
+        """The depth-h edge rows, E_h or C_h; only with edge elements on."""
+        return self._eincs[self._level(depth)]
 
     def family(self, depth: int):
-        """Indicator matrices (ball, edge membership) for the given depth."""
-        idx = self._level(depth)
-        if idx < len(self._eincs):
-            return self._balls[idx], self._eincs[idx]
-        # a counted pack keeps only the depth-1 edge indicator
-        return self._balls[idx], ((self._balls[idx - 1] @ self._eincs[0]) > 0).astype(np.float64)
+        """Indicator matrices (B_h, E_h) for the given depth."""
+        ball = self.ball(depth)
+        return ball, self._incidence(np.eye(self.n) if depth == 1 else self.ball(depth - 1))
 
     def features(self, depth: int) -> np.ndarray:
         """Feature count vectors of depths 1..depth, one row each.
@@ -199,9 +200,9 @@ class _GraphPack:
             for h in range(1, min(depth, self.n) + 1):
                 parts = [(nodes.T @ self.ball(h) @ nodes).ravel()]
                 if edges is not None:
-                    parts.append((nodes.T @ self.label_counts(h)).ravel())
+                    parts.append((nodes.T @ self.edge_rows(h)).ravel())
                 self._features[h - 1] = np.concatenate(parts)
-            del self._balls[1:], self._eincs[1:], self._label_counts[1:]
+            del self._balls[1:], self._eincs[1:]
             self._saturated = False
         return self._features[:depth]
 
@@ -223,7 +224,6 @@ class KernelContext:
         self.schema = schema
         self.params = params if params is not None else SimilarityParams()
         self.tau = check_tau(tau)
-        self.edge_elements = edge_elements
         self.use_edges = edge_elements == "on" or (
             edge_elements == "auto" and schema.has_edge_attrs
         )
@@ -302,9 +302,9 @@ class KernelContext:
             m = pa.ball(h) @ p_nodes @ pb.ball(h).T
             if self.edge_weights is not None:
                 # P_e = Oe_a diag(qe) Oe_b^T, so E_a P_e E_b^T = C_a diag(qe) C_b^T
-                m = m + (pa.label_counts(h) * self.edge_weights) @ pb.label_counts(h).T
+                m = m + (pa.edge_rows(h) * self.edge_weights) @ pb.edge_rows(h).T
             elif p_edges is not None:
-                m = m + pa.family(h)[1] @ p_edges @ pb.family(h)[1].T
+                m = m + pa.edge_rows(h) @ p_edges @ pb.edge_rows(h).T
             total += float((weights * m).sum())
             totals.append(total)
         return totals + [total] * (max_depth - cap)

@@ -210,7 +210,6 @@ def train_ovr(
     K,
     labels,
     C: float,
-    classes=None,
     tol: float = 1e-3,
     max_passes: int | None = None,
     gram_digest: str | None = None,
@@ -226,13 +225,7 @@ def train_ovr(
         bad = values[~np.isfinite(values) | (values != np.trunc(values))]
         if bad.size:
             raise SvmError(f"label values must be integral, got {bad[0].item()!r}")
-    if classes is None:
-        classes = [int(v) for v in values]
-    else:
-        classes = sorted(int(c) for c in classes)
-        for c in classes:
-            if not (labels == c).any():
-                raise DegenerateClassError(f"class {c} has no training examples")
+    classes = [int(v) for v in values]
     if len(classes) < 2:
         raise DegenerateClassError(f"need at least 2 classes, got {len(classes)}")
     machines = tuple(

@@ -67,23 +67,56 @@ class TestExpandStar:
         assert len(pack._balls) == 1
 
 
+def oracle_edge_rows(g, schema, family):
+    """The edge rows the oracle's stars imply: with every edge dimension
+    categorical, each star's edge count and its symbol counts per
+    dimension; otherwise each star's 0/1 edge indicator."""
+    if all(d.kind == "categorical" for d in schema.edge_dims):
+        offsets = np.cumsum([1] + [len(d.categories) for d in schema.edge_dims])
+        rows = np.zeros((g.num_nodes, offsets[-1]))
+        for v, _, edges in family:
+            rows[v, 0] = len(edges)
+            for e in edges:
+                for k, symbol in enumerate(g.edge_attr_map[e].values):
+                    rows[v, offsets[k] + symbol] += 1.0
+        return rows
+    index = {e: i for i, e in enumerate(g.edges)}
+    rows = np.zeros((g.num_nodes, g.num_edges))
+    for v, _, edges in family:
+        rows[v, [index[e] for e in edges]] = 1.0
+    return rows
+
+
 class TestMatrixFamilyAgreement:
-    def test_indicators_match_object_families(self, full_schema):
-        # a numerical edge dimension keeps every edge indicator; categorical
-        # edges alone keep label counts and recompute the deeper indicators
-        counted = synth.mixed_schema(n_cat=1, n_num=1, edge_cat=1)
-        for schema in (full_schema, counted):
-            # the oracle grows each star as a Python set, one hop at a time
-            rng = np.random.default_rng(21)
-            for trial in range(6):
-                g = synth.random_graph(rng, schema, graph_id=trial, min_nodes=2, max_nodes=12)
-                pack = KernelContext(schema).register(g)
-                for depth in range(1, 5):
-                    for v, ball, edges in oracles.ref_family(g, depth):
-                        rows = (tuple(sorted(ball)), tuple(sorted(edges)))
-                        assert star_rows(pack, depth, v) == rows
-                kept = 1 if schema is counted else len(pack._balls)
-                assert len(pack._eincs) == kept
+    @pytest.mark.parametrize("edge_num,mode", [(1, "auto"), (0, "auto"), (1, "off")],
+                             ids=["numerical-edges", "categorical-edges", "edges-off"])
+    def test_indicators_match_object_families(self, edge_num, mode):
+        # a numerical edge dimension keeps the edge indicators E_h as edge
+        # rows, categorical edges alone the label counts C_h = E_h Oe, and
+        # edge elements off keep none; E_h is read off the balls either way
+        schema = synth.mixed_schema(n_cat=1, n_num=1, edge_cat=1, edge_num=edge_num)
+        ctx = KernelContext(schema, edge_elements=mode)
+        # the oracle grows each star as a Python set, one hop at a time
+        rng = np.random.default_rng(21)
+        graphs = [synth.random_graph(rng, schema, graph_id=trial, min_nodes=2, max_nodes=12)
+                  for trial in range(6)]
+        # a triangle: every ball is full at depth 1, and the leaf-leaf edge
+        # joins each star at depth 2
+        labels = {e: synth.random_vector(rng, schema.edge_dims).values
+                  for e in ((0, 1), (1, 2), (0, 2))}
+        graphs.append(graph_with(6, 3, list(labels), [(0, 0.5)] * 3, labels))
+        for g in graphs:
+            pack = ctx.register(g)
+            for depth in range(1, 6):
+                family = oracles.ref_family(g, depth)
+                for v, ball, edges in family:
+                    rows = (tuple(sorted(ball)), tuple(sorted(edges)))
+                    assert star_rows(pack, depth, v) == rows
+                if mode == "auto":
+                    want = oracle_edge_rows(g, schema, family)
+                    assert np.array_equal(pack.edge_rows(depth), want)
+            if mode == "off":
+                assert pack.edge_pack is None and pack._eincs == []
 
 
 class TestNaskKernel:
@@ -274,7 +307,7 @@ class TestEdgeLabelCounts:
         pack = KernelContext(schema).register(g)
         # the ball at 0 is full at depth 1; the leaf-leaf edge joins at depth 2
         assert star_rows(pack, 2, 0) == ((0, 1, 2), ((0, 1), (0, 2), (1, 2)))
-        assert pack.label_counts(1)[0].tolist() == [2.0, 1.0, 1.0, 0.0, 0.0]
-        assert pack.label_counts(2)[0].tolist() == [3.0, 1.0, 2.0, 0.0, 0.0]
-        assert np.array_equal(pack.label_counts(5), pack.label_counts(2))
+        assert pack.edge_rows(1)[0].tolist() == [2.0, 1.0, 1.0, 0.0, 0.0]
+        assert pack.edge_rows(2)[0].tolist() == [3.0, 1.0, 2.0, 0.0, 0.0]
+        assert np.array_equal(pack.edge_rows(5), pack.edge_rows(2))
         assert len(pack._balls) == 2

@@ -41,8 +41,7 @@ INDEFINITE = np.array([[1.0, 1.5], [1.5, 1.0]])
 
 # run in a fresh interpreter, so the BLAS thread count comes from the environment;
 # argv holds the directories to import nask, synth and this module from; one
-# bench2 digest per --threads value, then the wide6-200-H4 and large-H3-tau0.6
-# digests
+# bench2 digest per --threads value, then every pinned Gram's digest by name
 BLAS_DIGESTS = """
 import hashlib, sys
 sys.path[:0] = sys.argv[1:]
@@ -51,17 +50,20 @@ ds = nask.compute_ranges(synth.benchmark_dataset())
 for threads in (1, 2, 3):
     gram = nask.compute_gram(ds, plan=nask.ExpansionPlan(max_depth=4), threads=threads)
     print(hashlib.sha256(gram.values.tobytes()).hexdigest())
-for name in ("wide6-200-H4", "large-H3-tau0.6"):
+for name in sorted(test_gram.PINNED_GRAM_SHA256):
     print(test_gram.sha256(test_gram.pinned_gram(name)))
 """
 
 # SHA-256 of compute_gram(...).values.tobytes(), frozen so that an engine
 # rewrite must keep every bit. bench2 (all categorical, tau = 0) is on the
-# feature map; the other two are on the indicator engine.
+# feature map; the others are on the indicator engine, numedge30 the one
+# with a numerical edge dimension, with edge elements on and off.
 PINNED_GRAM_SHA256 = {
     "bench2-H4": "9c2e17db17df62b06b8b426e02f77ab0ce9f52142d504bb28cec94809b763fbc",
     "wide6-200-H4": "ed9693a1b5140544dcd1d40a581c7475b4fa6c846adc21626ab91420c9e02802",
     "large-H3-tau0.6": "8229e51a8c0b5a41bc06370fceb2a6eb4cf89999e74927896d4033cbc2acaf7d",
+    "numedge30-H4": "6cd57921125f58efb357851af6312d4171cb878a70619cb91420240b51706284",
+    "numedge30-H4-off": "48e33a76634771c891c6fcac6d990423a19b9256dd2974bceabaa2c2be271e0d",
 }
 
 
@@ -84,9 +86,23 @@ def tiny_dataset():
     return compute_ranges(synth.dataset_from_graphs(graphs, "tiny6", schema))
 
 
+def numedge_dataset():
+    """Thirty graphs of 1-14 nodes with a categorical and a numerical
+    dimension on both nodes and edges."""
+    schema = synth.mixed_schema(n_cat=1, n_num=1, edge_cat=1, edge_num=1)
+    rng = np.random.default_rng(61)
+    graphs = [synth.random_graph(rng, schema, graph_id=i, min_nodes=1, max_nodes=14)
+              for i in range(30)]
+    return compute_ranges(synth.dataset_from_graphs(graphs, "numedge30", schema))
+
+
 def pinned_gram(name):
     """The Gram behind each PINNED_GRAM_SHA256 entry."""
     params = SimilarityParams(gamma=1.0)
+    if name.startswith("numedge30"):
+        mode = "off" if name.endswith("off") else "auto"
+        return compute_gram(numedge_dataset(), params, ExpansionPlan(max_depth=4),
+                            edge_elements=mode, threads=2)
     if name == "bench2-H4":
         ds = compute_ranges(synth.benchmark_dataset(seed=7))
         return compute_gram(ds, params, ExpansionPlan(max_depth=4))
@@ -180,11 +196,11 @@ class TestComputeGram:
                 env=env, capture_output=True, text=True, check=True,
             )
             digests[count] = run.stdout.split()
-        # the indicator engine's dense node products hold on wide6's graphs
-        # of at most 16 nodes and on the 100-300-node graphs at tau = 0.6, but
-        # not yet on those graphs at tau = 0
+        # the indicator engine's dense node and edge products hold on wide6's
+        # and numedge30's graphs of at most 16 nodes and on the 100-300-node
+        # graphs at tau = 0.6, but not yet on those graphs at tau = 0
         pinned = [PINNED_GRAM_SHA256["bench2-H4"]] * 3 + [
-            PINNED_GRAM_SHA256["wide6-200-H4"], PINNED_GRAM_SHA256["large-H3-tau0.6"]]
+            PINNED_GRAM_SHA256[name] for name in sorted(PINNED_GRAM_SHA256)]
         assert digests == {"1": pinned, "2": pinned}
 
     def test_recompute_is_bit_identical(self):
