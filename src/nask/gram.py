@@ -245,7 +245,7 @@ def compute_gram(
             if ctx.feature_weights is not None:
                 pack.features(plan.max_depth)
             else:
-                pack.ball(min(plan.max_depth, pack.n))  # grow every level before forking
+                pack.levels(plan.max_depth)  # grow every level before forking
         except MemoryError as exc:
             raise GramComputeError(f"resource exhaustion while packing graph {index}") from exc
         packs.append(pack)
@@ -319,10 +319,10 @@ def check_psd(gram, tol: float = 1e-8) -> PsdVerdict:
 def export_gram(gram: GramMatrix, path) -> Path:
     """Write the text format; 17 significant digits round-trip bit-exactly."""
     path = Path(path)
-    lines = [_HEADER, json.dumps(gram.meta.to_obj()), str(gram.n)]
-    for row in gram.values:
-        lines.append(" ".join("%.17g" % value for value in row))
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as out:  # a row at a time: no copy of the whole text
+        out.write(f"{_HEADER}\n{json.dumps(gram.meta.to_obj())}\n{gram.n}\n")
+        for row in gram.values:
+            out.write(" ".join("%.17g" % value for value in row) + "\n")
     return path
 
 

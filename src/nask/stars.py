@@ -9,9 +9,10 @@ sums this over all star pairs.
 
 KernelContext holds everything shared across pair evaluations for one
 schema: similarity parameters, the edge-element mode, the pruning
-threshold, and per-graph packs with cached per-depth balls and edge rows.
-Row v of a depth-h matrix is the depth-h star at v. The context picks
-one of two engines from the schema, with no setting to choose:
+threshold, and per-graph packs whose levels() list the cached per-depth
+balls and edge rows. Row v of a depth-h matrix is the depth-h star at v.
+The context picks one of two engines from the schema, with no setting to
+choose:
 
 - The feature map, when tau == 0, every node dimension (and every edge
   dimension, when edge elements are on) is categorical with a categories
@@ -101,14 +102,15 @@ class _GraphPack:
     B_0 = I. With edge elements on, _eincs holds the per-depth edge rows
     the engine contracts: E_h, or C_h = E_h Oe (n x r_e exact integers)
     given edge category counts, Oe being the edges' one-hot rows; with
-    them off it stays empty. Levels grow lazily and stop once saturated.
+    them off it stays empty. levels(depth) grows both lists on first use,
+    to at most n levels, and is where the engines read them.
     Given node category counts too (the feature map), the pack also keeps
     the nodes' one-hot rows and the feature vectors built so far, and only
-    the depth-1 levels once those are built.
+    the depth-1 ball once those are built.
     """
 
     __slots__ = (
-        "graph", "n", "nodes", "edge_pack", "_ends", "_balls", "_eincs", "_saturated",
+        "graph", "n", "nodes", "edge_pack", "_ends", "_balls", "_eincs",
         "_node_hot", "_edge_hot", "_features",
     )
 
@@ -132,7 +134,6 @@ class _GraphPack:
         ball[u, w] = ball[w, u] = 1.0
         self._balls = [ball]
         self._eincs = []  # built with the levels, not here
-        self._saturated = False
         self._node_hot = None if node_counts is None else _one_hot(self.nodes, node_counts)
         self._edge_hot = None if edge_counts is None else _one_hot(self.edge_pack, edge_counts)
         self._features = None
@@ -144,45 +145,25 @@ class _GraphPack:
         u, w = self._ends
         return np.maximum(ball[:, u], ball[:, w], out=np.empty((self.n, u.size)))
 
-    def _edge_rows_after(self, ball: np.ndarray) -> np.ndarray:
-        """The next level's edge rows: E, or E Oe given edge category counts."""
-        rows = self._incidence(ball)
-        return rows if self._edge_hot is None else rows @ self._edge_hot
-
-    def _level(self, depth: int) -> int:
-        """Grow the levels up to depth, or to saturation; depth's index."""
-        if depth < 1:
-            raise ConfigError(f"family depth must be >= 1, got {depth}")
-        edged = self.edge_pack is not None
-        if edged and not self._eincs:
-            self._eincs.append(self._edge_rows_after(np.eye(self.n)))
-        while len(self._balls) < depth and not self._saturated:
-            last = self._balls[-1]
-            ball = ((last @ self._balls[0]) > 0).astype(np.float64)
-            # edge sets only grow with depth and Oe's first column counts every
-            # edge, so equal rows mean equal sets, and so an equal ball, as
-            # B_{h+1} = B_h | ends(E_{h+1}); a pack without edge rows compares balls
-            rows = self._edge_rows_after(last) if edged else ball
-            if np.array_equal(rows, (self._eincs if edged else self._balls)[-1]):
-                self._saturated = True
-                break
-            self._balls.append(ball)
-            if edged:
-                self._eincs.append(rows)
-        return min(depth, len(self._balls)) - 1
-
-    def ball(self, depth: int) -> np.ndarray:
-        """The depth-h ball indicator."""
-        return self._balls[self._level(depth)]
-
-    def edge_rows(self, depth: int) -> np.ndarray:
-        """The depth-h edge rows, E_h or C_h; only with edge elements on."""
-        return self._eincs[self._level(depth)]
+    def levels(self, depth: int) -> tuple[list, list]:
+        """The balls and, with edge elements on, the edge rows of depths
+        1..min(depth, n), grown on first use; a graph's diameter is below
+        n, so the levels past it repeat the last one bit for bit."""
+        count = min(depth, self.n)
+        while len(self._balls) < count:
+            self._balls.append(((self._balls[-1] @ self._balls[0]) > 0).astype(np.float64))
+        while self.edge_pack is not None and len(self._eincs) < count:
+            h = len(self._eincs)  # E_{h+1} is read off B_h, and B_0 = I
+            rows = self._incidence(self._balls[h - 1] if h else np.eye(self.n))
+            self._eincs.append(rows if self._edge_hot is None else rows @ self._edge_hot)
+        return self._balls[:count], self._eincs[:count]
 
     def family(self, depth: int):
         """Indicator matrices (B_h, E_h) for the given depth."""
-        ball = self.ball(depth)
-        return ball, self._incidence(np.eye(self.n) if depth == 1 else self.ball(depth - 1))
+        if depth < 1:
+            raise ConfigError(f"family depth must be >= 1, got {depth}")
+        balls = [np.eye(self.n)] + self.levels(depth)[0]  # B_0 = I, then B_1..
+        return balls[-1], self._incidence(balls[max(len(balls) - 2, 0)])
 
     def features(self, depth: int) -> np.ndarray:
         """Feature count vectors of depths 1..depth, one row each.
@@ -190,20 +171,20 @@ class _GraphPack:
         Row h-1 is (O^T B_h O, O^T C_h) flattened, where O is the node
         one-hot rows and C_h the edge-label counts; products of 0/1 and
         integer matrices, so every entry is an exact integer whatever the
-        BLAS. Rows past |V| are zero. The deeper levels are dropped
-        afterwards: the counts hold all this engine needs of them.
+        BLAS. Rows past |V| are zero. All levels but the depth-1 ball are
+        dropped afterwards: the counts hold all this engine needs of them.
         """
         if self._features is None or len(self._features) < depth:
             nodes, edges = self._node_hot, self._edge_hot
             width = nodes.shape[1] * (nodes.shape[1] + (0 if edges is None else edges.shape[1]))
             self._features = np.zeros((depth, width))
-            for h in range(1, min(depth, self.n) + 1):
-                parts = [(nodes.T @ self.ball(h) @ nodes).ravel()]
+            balls, rows = self.levels(depth)
+            for h, ball in enumerate(balls):
+                parts = [(nodes.T @ ball @ nodes).ravel()]
                 if edges is not None:
-                    parts.append((nodes.T @ self.edge_rows(h)).ravel())
-                self._features[h - 1] = np.concatenate(parts)
-            del self._balls[1:], self._eincs[1:]
-            self._saturated = False
+                    parts.append((nodes.T @ rows[h]).ravel())
+                self._features[h] = np.concatenate(parts)
+            del self._balls[1:], self._eincs[:]
         return self._features[:depth]
 
 
@@ -295,19 +276,19 @@ class KernelContext:
         if self.use_edges and self.edge_weights is None:
             p_edges = similarity_matrix(pa.edge_pack, pb.edge_pack, self.params)
         weights = np.where(p_nodes >= self.tau, p_nodes, 0.0)
-        cap = min(max_depth, pa.n, pb.n)
+        (balls_a, rows_a), (balls_b, rows_b) = pa.levels(max_depth), pb.levels(max_depth)
         totals = []
         total = 0.0
-        for h in range(1, cap + 1):
-            m = pa.ball(h) @ p_nodes @ pb.ball(h).T
+        for h, (ball_a, ball_b) in enumerate(zip(balls_a, balls_b)):  # min(H, |Va|, |Vb|)
+            m = ball_a @ p_nodes @ ball_b.T
             if self.edge_weights is not None:
                 # P_e = Oe_a diag(qe) Oe_b^T, so E_a P_e E_b^T = C_a diag(qe) C_b^T
-                m = m + (pa.edge_rows(h) * self.edge_weights) @ pb.edge_rows(h).T
+                m = m + (rows_a[h] * self.edge_weights) @ rows_b[h].T
             elif p_edges is not None:
-                m = m + pa.edge_rows(h) @ p_edges @ pb.edge_rows(h).T
+                m = m + rows_a[h] @ p_edges @ rows_b[h].T
             total += float((weights * m).sum())
             totals.append(total)
-        return totals + [total] * (max_depth - cap)
+        return totals + [total] * (max_depth - len(totals))
 
 
 def graph_kernel_KS(g: AttributedGraph, h: AttributedGraph, ctx: KernelContext) -> float:

@@ -64,7 +64,47 @@ class TestExpandStar:
             ball, einc = pack.family(depth)
             assert np.array_equal(ball, ball1) and np.array_equal(einc, einc1)
         assert np.array_equal(ball1, np.eye(n)) and einc1.shape == (n, 0)
-        assert len(pack._balls) == 1
+        assert len(pack.levels(4)[0]) == n
+
+
+class TestLevels:
+    """levels(depth) lists depths 1..min(depth, n), and no more."""
+
+    @staticmethod
+    def path_pack():
+        # a 4-node path plus two isolated nodes: six nodes, diameter 3, so
+        # balls and edge rows both stop changing at depth 3
+        schema = synth.mixed_schema(n_cat=1, n_num=0, edge_cat=1)
+        edges = {(0, 1): (0,), (1, 2): (1,), (2, 3): (0,)}
+        g = graph_with(0, 6, list(edges), [(0,)] * 6, edges)
+        return KernelContext(schema, tau=0.5).register(g)
+
+    @pytest.mark.parametrize("depth", range(1, 9))
+    def test_one_entry_per_depth_up_to_n(self, depth):
+        balls, rows = self.path_pack().levels(depth)
+        assert len(balls) == len(rows) == min(depth, 6)
+
+    def test_levels_past_the_diameter_repeat_bit_for_bit(self):
+        pack = self.path_pack()
+        first = [x.copy() for x in pack.levels(2)[0]]
+        balls, rows = pack.levels(8)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, balls))
+        for level in balls, rows:
+            assert not np.array_equal(level[2], level[1])
+            assert all(x.tobytes() == level[2].tobytes() for x in level[3:])
+        fresh = self.path_pack()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(fresh.family(8), pack.family(6)))
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5], ids=["feature-map", "indicator"])
+    def test_an_empty_graph_has_no_levels(self, tau):
+        schema = synth.mixed_schema(n_cat=1, n_num=0, edge_cat=1)
+        empty, single = graph_with(0, 0, [], []), graph_with(1, 1, [], [(0,)], {})
+        ctx = KernelContext(schema, tau=tau)
+        assert ctx.register(empty).levels(3) == ([], [])
+        ball, einc = ctx.register(empty).family(3)
+        assert ball.shape == (0, 0) and einc.shape == (0, 0)
+        assert ctx.pair_value(empty, single, 3) == [0.0] * 3
+        assert ctx.pair_value(single, empty, 3) == [0.0] * 3
 
 
 def oracle_edge_rows(g, schema, family):
@@ -114,7 +154,7 @@ class TestMatrixFamilyAgreement:
                     assert star_rows(pack, depth, v) == rows
                 if mode == "auto":
                     want = oracle_edge_rows(g, schema, family)
-                    assert np.array_equal(pack.edge_rows(depth), want)
+                    assert np.array_equal(pack.levels(depth)[1][-1], want)
             if mode == "off":
                 assert pack.edge_pack is None and pack._eincs == []
 
@@ -307,7 +347,9 @@ class TestEdgeLabelCounts:
         pack = KernelContext(schema).register(g)
         # the ball at 0 is full at depth 1; the leaf-leaf edge joins at depth 2
         assert star_rows(pack, 2, 0) == ((0, 1, 2), ((0, 1), (0, 2), (1, 2)))
-        assert pack.edge_rows(1)[0].tolist() == [2.0, 1.0, 1.0, 0.0, 0.0]
-        assert pack.edge_rows(2)[0].tolist() == [3.0, 1.0, 2.0, 0.0, 0.0]
-        assert np.array_equal(pack.edge_rows(5), pack.edge_rows(2))
-        assert len(pack._balls) == 2
+        balls, rows = pack.levels(5)
+        assert len(balls) == len(rows) == 3
+        assert np.array_equal(balls[1], balls[0])
+        assert rows[0][0].tolist() == [2.0, 1.0, 1.0, 0.0, 0.0]
+        assert rows[1][0].tolist() == [3.0, 1.0, 2.0, 0.0, 0.0]
+        assert np.array_equal(rows[2], rows[1])

@@ -122,6 +122,19 @@ class TestAgainstOracles:
         # the single-node and edgeless graphs gain nothing past their cap
         assert np.array_equal(grams[1].values[0], grams[DEEPEST].values[0])
 
+    def test_packs_drop_their_levels_and_regrow_them(self, cat9):
+        ga, gb = cat9.graphs[3], cat9.graphs[4]  # 4 nodes each
+        pack = KernelContext(cat9.schema).register(ga)
+        pack.features(DEEPEST)
+        assert len(pack._balls) == 1 and pack._eincs == []
+        # depth 4 after depth 2 regrows levels 2..4 from the depth-1 ball
+        ctx = KernelContext(cat9.schema)
+        shallow = ctx.pair_value(ga, gb, 2)
+        deep = ctx.pair_value(ga, gb, 4)
+        assert shallow == deep[:2]
+        fresh = KernelContext(cat9.schema).pair_value(ga, gb, 4)
+        assert np.array(deep).tobytes() == np.array(fresh).tobytes()
+
     def test_relabelling_keeps_every_bit(self, cat9):
         rng = np.random.default_rng(5)
         permuted = [

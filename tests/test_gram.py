@@ -293,8 +293,8 @@ class TestComputeGram:
         def exhausted(pack, depth):
             raise MemoryError
 
-        # every indicator level grows in _level
-        monkeypatch.setattr(stars._GraphPack, "_level", exhausted)
+        # every level grows in levels()
+        monkeypatch.setattr(stars._GraphPack, "levels", exhausted)
         with pytest.raises(GramComputeError, match="packing graph 0"):
             compute_gram(small_dataset(count=4))
 
