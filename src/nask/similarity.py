@@ -4,8 +4,12 @@ Per-dimension partial similarities (equality for categorical dims, scaled
 absolute difference clamped to the range for numerical dims, equality for
 zero-width ranges) are pushed through the exponential transform
 exp(-gamma * (1 - s)) and averaged. The packed form vectorizes this over
-all pairs of elements of two graphs; the scalar one-pair-at-a-time
-semantics live in tests/oracles.py as the reference it is checked against.
+all pairs of elements of two graphs. It stores each kind of dimension
+dimension-major, so every dimension contributes one contiguous
+n_a x n_b plane; the range-scaled planes are added left to right in schema
+order, and the Gram digests pinned in the tests rely on that order. The
+scalar one-pair-at-a-time semantics live in tests/oracles.py as the
+reference it is checked against.
 """
 
 from __future__ import annotations
@@ -35,12 +39,15 @@ class SimilarityParams:
 
 
 class PackedAttrs:
-    """Column-major arrays for one graph's node or edge attribute vectors.
+    """Dimension-major arrays for one graph's node or edge attribute vectors.
 
-    Splits dimensions into categorical ids, range-scaled numerical values,
-    and zero-range numerical values so that all-pairs similarity reduces to
-    a few dense array operations. Every vector is checked against the
-    dimensions first; errors name it as `{where} {index}`.
+    Splits dimensions into categorical ids (`cat`), range-scaled numerical
+    values (`num_scaled`) and zero-range numerical values (`num_exact`).
+    Each is a C-contiguous d x n array whose row k holds that kind's k-th
+    dimension, in schema order, for every element, so all-pairs similarity
+    works on whole n_a x n_b planes, one dimension at a time. Every vector
+    is checked against the dimensions first; errors name it as
+    `{where} {index}`.
     """
 
     __slots__ = ("count", "dim_count", "cat", "num_scaled", "num_exact")
@@ -51,48 +58,76 @@ class PackedAttrs:
             validate_vector(vec, dims, f"{where} {i}")
         self.count = len(vectors)
         self.dim_count = len(dims)
-        cat_cols, scaled_cols, exact_cols = [], [], []
+        cat_rows, scaled_rows, exact_rows, ranges = [], [], [], []
         for k, dim in enumerate(dims):
-            column = [vec.values[k] for vec in vectors]
+            row = [vec.values[k] for vec in vectors]
             if dim.kind == CATEGORICAL:
-                cat_cols.append(np.asarray(column, dtype=np.int64))
+                cat_rows.append(row)
                 continue
             width = dim.range
             if width is None:
                 raise SchemaError(f"dimension {dim.name!r} has no computed range")
-            values = np.asarray(column, dtype=np.float64)
             if width == 0.0:
-                exact_cols.append(values)
+                exact_rows.append(row)
             else:
-                scaled_cols.append(values / width)
-        shape = (self.count, 0)
-        self.cat = np.column_stack(cat_cols) if cat_cols else np.empty(shape, np.int64)
-        self.num_scaled = (
-            np.column_stack(scaled_cols) if scaled_cols else np.empty(shape, np.float64)
-        )
-        self.num_exact = (
-            np.column_stack(exact_cols) if exact_cols else np.empty(shape, np.float64)
-        )
+                scaled_rows.append(row)
+                ranges.append(width)
+        self.cat = _rows(cat_rows, np.int64, self.count)
+        self.num_exact = _rows(exact_rows, np.float64, self.count)
+        self.num_scaled = _rows(scaled_rows, np.float64, self.count)
+        self.num_scaled /= np.array(ranges).reshape(-1, 1)
+
+    @property
+    def kind_widths(self) -> tuple[int, int, int]:
+        """Dimension counts per kind: categorical, zero-range, range-scaled."""
+        return self.cat.shape[0], self.num_exact.shape[0], self.num_scaled.shape[0]
+
+
+def _rows(rows: list, dtype, count: int) -> np.ndarray:
+    """One C-contiguous d x count array from d per-dimension value lists."""
+    return np.array(rows, dtype=dtype).reshape(len(rows), count)
+
+
+def _match_table(n_cat: int, n_exact: int, floor: float) -> np.ndarray:
+    """Summed categorical and zero-range terms, indexed by
+    eq_cat * (n_exact + 1) + eq_exact, where each kind's term is
+    eq + (k - eq) * floor for eq matches among its k dimensions."""
+    return np.array([(i + (n_cat - i) * floor) + (j + (n_exact - j) * floor)
+                     for i in range(n_cat + 1) for j in range(n_exact + 1)])
 
 
 def similarity_matrix(a: PackedAttrs, b: PackedAttrs, p: SimilarityParams) -> np.ndarray:
-    """All-pairs element similarity between two packed attribute sets."""
-    if a.dim_count != b.dim_count:
-        raise SchemaError("packed attribute sets disagree on dimensionality")
+    """All-pairs element similarity between two packed attribute sets.
+
+    Each range-scaled dimension gives one n_a x n_b plane of
+    exp(-gamma * min(|x - y|, 1)), and the planes are added left to right
+    in schema order. The categorical and zero-range terms are then added
+    as one lookup in `_match_table` by each pair's match counts, and the
+    sum is divided by the dimension count.
+    """
+    if a.kind_widths != b.kind_widths:
+        raise SchemaError("packed attribute sets disagree on their dimensions")
     if a.dim_count == 0:
         raise SchemaError("element similarity needs at least one declared dimension")
     if a.count == 0 or b.count == 0:
         return np.zeros((a.count, b.count))
-    floor = math.exp(-p.gamma)  # transformed value of an exact mismatch
-    acc = np.zeros((a.count, b.count))
-    if a.cat.shape[1]:
-        eq = (a.cat[:, None, :] == b.cat[None, :, :]).sum(axis=2)
-        acc += eq + (a.cat.shape[1] - eq) * floor
-    if a.num_exact.shape[1]:
-        eq = (a.num_exact[:, None, :] == b.num_exact[None, :, :]).sum(axis=2)
-        acc += eq + (a.num_exact.shape[1] - eq) * floor
-    if a.num_scaled.shape[1]:
-        diff = np.abs(a.num_scaled[:, None, :] - b.num_scaled[None, :, :])
-        np.minimum(diff, 1.0, out=diff)
-        acc += np.exp(-p.gamma * diff).sum(axis=2)
-    return acc / a.dim_count
+    planes = np.subtract(a.num_scaled[:, :, None], b.num_scaled[:, None, :])
+    np.abs(planes, out=planes)
+    np.minimum(planes, 1.0, out=planes)
+    planes *= -p.gamma
+    np.exp(planes, out=planes)
+    acc = np.add.reduce(planes, axis=0)  # zeros when there are no planes
+    n_cat, n_exact, _ = a.kind_widths
+    if n_cat or n_exact:
+        size = (n_cat + 1) * (n_exact + 1)  # of the table; the dtype holds it
+        index = np.zeros((a.count, b.count), np.min_scalar_type(size))
+        for x, y in zip(a.cat, b.cat):
+            index += x[:, None] == y
+        if n_exact:
+            index *= n_exact + 1
+            for x, y in zip(a.num_exact, b.num_exact):
+                index += x[:, None] == y
+        floor = math.exp(-p.gamma)  # transformed value of an exact mismatch
+        acc += _match_table(n_cat, n_exact, floor)[index]
+    acc /= a.dim_count
+    return acc

@@ -81,7 +81,7 @@ def _one_hot(pack: PackedAttrs, counts: tuple[int, ...]) -> np.ndarray:
     out[:, 0] = 1.0
     offset = 1
     for k, count in enumerate(counts):
-        out[np.arange(pack.count), offset + pack.cat[:, k]] = 1.0
+        out[np.arange(pack.count), offset + pack.cat[k]] = 1.0
         offset += count
     return out
 
@@ -283,10 +283,11 @@ class KernelContext:
             m = ball_a @ p_nodes @ ball_b.T
             if self.edge_weights is not None:
                 # P_e = Oe_a diag(qe) Oe_b^T, so E_a P_e E_b^T = C_a diag(qe) C_b^T
-                m = m + (rows_a[h] * self.edge_weights) @ rows_b[h].T
+                m += (rows_a[h] * self.edge_weights) @ rows_b[h].T
             elif p_edges is not None:
-                m = m + rows_a[h] @ p_edges @ rows_b[h].T
-            total += float((weights * m).sum())
+                m += rows_a[h] @ p_edges @ rows_b[h].T
+            m *= weights
+            total += float(m.sum())
             totals.append(total)
         return totals + [total] * (max_depth - len(totals))
 

@@ -110,7 +110,9 @@ def train_binary(
     Kd = K.diagonal().tolist()
     # row k is column k of K * yy': an update reads two contiguous rows, with
     # the values of the columns even where K is not exactly symmetric
-    Q = np.multiply(K.T, np.outer(y, y), order="C")
+    # (multiplying by +-1 is exact, so no yy' matrix is needed)
+    Q = np.multiply(K.T, y[:, None], order="C")
+    Q *= y
     signs = y.tolist()
     neg_y = -y
     alpha = np.zeros(n)

@@ -32,6 +32,35 @@ def sim(dims, xs, ys, gamma=1.0) -> np.ndarray:
     return similarity_matrix(a, b, SimilarityParams(gamma=gamma))
 
 
+def per_dimension_loop(dims, xs, ys, gamma) -> np.ndarray:
+    """similarity_matrix by an explicit loop over dimensions: the
+    categorical term, plus the zero-range term, plus the range-scaled
+    dimensions summed left to right in schema order. Each of the first two
+    terms is eq + (k - eq) * floor over its k dimensions."""
+    floor = math.exp(-gamma)
+    matches = {"categorical": [], "zero-range": []}
+    planes = []
+    for k, dim in enumerate(dims):
+        x = np.array([v.values[k] for v in xs], dtype=float)
+        y = np.array([v.values[k] for v in ys], dtype=float)
+        if dim.kind == "categorical":
+            matches["categorical"].append(np.equal.outer(x, y))
+        elif dim.range == 0.0:
+            matches["zero-range"].append(np.equal.outer(x, y))
+        else:
+            diff = np.abs(np.subtract.outer(x / dim.range, y / dim.range))
+            planes.append(np.exp(-gamma * np.minimum(diff, 1.0)))
+    total = np.zeros((len(xs), len(ys)))
+    for kind in ("categorical", "zero-range"):
+        if matches[kind]:
+            eq = np.sum(matches[kind], axis=0)
+            total = total + (eq + (len(matches[kind]) - eq) * floor)
+    scaled = planes[0]
+    for plane in planes[1:]:
+        scaled = scaled + plane
+    return (total + scaled) / len(dims)
+
+
 def one(dim, a, b, gamma=1.0) -> float:
     """The 1x1 similarity of two values in a single dimension."""
     return float(sim((dim,), [(a,)], [(b,)], gamma)[0, 0])
@@ -181,6 +210,39 @@ class TestPackedPath:
                 PackedAttrs((CAT, NUM), [AttributeVector((0, 1.0))]),
                 SimilarityParams(),
             )
+        # same dimension count, different kinds
+        with pytest.raises(SchemaError, match="disagree"):
+            similarity_matrix(
+                PackedAttrs((CAT, NUM), [AttributeVector((0, 1.0))]),
+                PackedAttrs((CAT, CAT), [AttributeVector((0, 1))]),
+                SimilarityParams(),
+            )
+
+    @pytest.mark.parametrize("n_scaled", [1, 2, 7, 8, 18])
+    def test_matrix_equals_per_dimension_loop_bit_for_bit(self, n_scaled):
+        # the Gram digests pinned in test_gram rely on this summation order
+        rng = np.random.default_rng(40 + n_scaled)
+        scaled = [DimensionSpec(f"x{k}", "numerical", range_min=-1.0, range_max=3.0)
+                  for k in range(n_scaled)]
+        dims = (scaled[0], CAT) + tuple(scaled[1:n_scaled // 2 + 1]) + (ZERO,) + tuple(
+            scaled[n_scaled // 2 + 1:])
+
+        def vector():
+            return AttributeVector(tuple(
+                int(rng.integers(3)) if dim is CAT
+                else float(rng.choice([5.0, 6.0])) if dim is ZERO
+                else round(float(rng.uniform(-2.0, 5.0)), 3)  # some beyond the range
+                for dim in dims))
+
+        xs, ys = [vector() for _ in range(9)], [vector() for _ in range(7)]
+        gamma = 1.7
+        mat = similarity_matrix(PackedAttrs(dims, xs), PackedAttrs(dims, ys),
+                                SimilarityParams(gamma=gamma))
+        assert np.array_equal(mat, per_dimension_loop(dims, xs, ys, gamma))
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                assert mat[i, j] == pytest.approx(
+                    oracles.ref_element_P(dims, x, y, gamma), rel=1e-12)
 
     def test_similarity_matrix_is_psd_when_ranges_cover_values(self):
         # one element set against itself: the kernel matrix of the averaged
