@@ -14,6 +14,7 @@ reference it is checked against.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -88,12 +89,16 @@ def _rows(rows: list, dtype, count: int) -> np.ndarray:
     return np.array(rows, dtype=dtype).reshape(len(rows), count)
 
 
+@functools.lru_cache
 def _match_table(n_cat: int, n_exact: int, floor: float) -> np.ndarray:
     """Summed categorical and zero-range terms, indexed by
     eq_cat * (n_exact + 1) + eq_exact, where each kind's term is
-    eq + (k - eq) * floor for eq matches among its k dimensions."""
-    return np.array([(i + (n_cat - i) * floor) + (j + (n_exact - j) * floor)
-                     for i in range(n_cat + 1) for j in range(n_exact + 1)])
+    eq + (k - eq) * floor for eq matches among its k dimensions. Built
+    once per argument triple and shared, so it is read-only."""
+    table = np.array([(i + (n_cat - i) * floor) + (j + (n_exact - j) * floor)
+                      for i in range(n_cat + 1) for j in range(n_exact + 1)])
+    table.flags.writeable = False
+    return table
 
 
 def similarity_matrix(a: PackedAttrs, b: PackedAttrs, p: SimilarityParams) -> np.ndarray:

@@ -35,6 +35,11 @@ choose:
   formed. Otherwise (a numerical edge dimension) it is E_a P_e E_b^T over
   the edge indicators and the edge similarity matrix.
 
+Packs cache every 0/1 indicator (the balls B_h, and E_h on numerical-edge
+schemas) as bool, one byte an entry, and widen it to float64 explicitly at
+each product: a bool x float64 matmul does not take the float64 BLAS path,
+and its sums would round differently. The label counts C_h stay float64.
+
 Each pair is evaluated in a fixed order that does not depend on the worker
 count. The feature and label counts are exact integers, but OpenBLAS may
 sum the indicator engine's dense node products in an order that follows
@@ -94,8 +99,13 @@ def _column_weights(counts: tuple[int, ...], floor: float) -> np.ndarray:
 class _GraphPack:
     """Packed attributes, per-depth balls and edge rows for one graph.
 
-    balls[h-1][v, u] == 1 iff u lies within h hops of v; depth 1 is I + A
-    and each deeper ball is the previous one times it. No incidence matrix
+    balls[h-1][v, u] is True iff u lies within h hops of v; depth 1 is
+    I + A and each deeper ball is the previous one times it. Balls and E_h
+    are stored as bool, 1 byte an entry where float64 takes 8, and widened
+    to float64 by an explicit astype at each product: the pinned Gram digests hold
+    the float64 BLAS sums, which a bool operand would not take. E_h is
+    kept C-ordered, since the widened copy keeps its layout and the layout
+    sets the bits of the edge products. No incidence matrix
     is kept, only the edge endpoints (u, w) as a 2 x m index array: the
     depth-h star at v holds edge e iff an endpoint of e lies in the
     depth-(h-1) ball at v, so E_h = max(B_{h-1}[:, u], B_{h-1}[:, w]) with
@@ -130,8 +140,8 @@ class _GraphPack:
             self.edge_pack = PackedAttrs(schema.edge_dims, vectors, f"graph {g.graph_id} edge")
         self._ends = np.array(g.edges, dtype=np.intp).reshape(m, 2).T
         u, w = self._ends
-        ball = np.eye(self.n)
-        ball[u, w] = ball[w, u] = 1.0
+        ball = np.eye(self.n, dtype=bool)
+        ball[u, w] = ball[w, u] = True
         self._balls = [ball]
         self._eincs = []  # built with the levels, not here
         self._node_hot = None if node_counts is None else _one_hot(self.nodes, node_counts)
@@ -139,11 +149,10 @@ class _GraphPack:
         self._features = None
 
     def _incidence(self, ball: np.ndarray) -> np.ndarray:
-        """max(ball[:, u], ball[:, w]), the edges meeting each row of ball,
-        written C-ordered: a column gather is F-ordered, and the layout
-        sets the bits of the edge products."""
+        """max(ball[:, u], ball[:, w]), the edges meeting each row of a bool
+        ball, written C-ordered: a column gather is F-ordered."""
         u, w = self._ends
-        return np.maximum(ball[:, u], ball[:, w], out=np.empty((self.n, u.size)))
+        return np.maximum(ball[:, u], ball[:, w], out=np.empty((self.n, u.size), dtype=bool))
 
     def levels(self, depth: int) -> tuple[list, list]:
         """The balls and, with edge elements on, the edge rows of depths
@@ -151,19 +160,23 @@ class _GraphPack:
         n, so the levels past it repeat the last one bit for bit."""
         count = min(depth, self.n)
         while len(self._balls) < count:
-            self._balls.append(((self._balls[-1] @ self._balls[0]) > 0).astype(np.float64))
+            step = self._balls[-1].astype(np.float64) @ self._balls[0].astype(np.float64)
+            self._balls.append(step > 0)
         while self.edge_pack is not None and len(self._eincs) < count:
             h = len(self._eincs)  # E_{h+1} is read off B_h, and B_0 = I
-            rows = self._incidence(self._balls[h - 1] if h else np.eye(self.n))
-            self._eincs.append(rows if self._edge_hot is None else rows @ self._edge_hot)
+            rows = self._incidence(self._balls[h - 1] if h else np.eye(self.n, dtype=bool))
+            if self._edge_hot is not None:
+                rows = rows.astype(np.float64) @ self._edge_hot
+            self._eincs.append(rows)
         return self._balls[:count], self._eincs[:count]
 
     def family(self, depth: int):
         """Indicator matrices (B_h, E_h) for the given depth."""
         if depth < 1:
             raise ConfigError(f"family depth must be >= 1, got {depth}")
-        balls = [np.eye(self.n)] + self.levels(depth)[0]  # B_0 = I, then B_1..
-        return balls[-1], self._incidence(balls[max(len(balls) - 2, 0)])
+        balls = [np.eye(self.n, dtype=bool)] + self.levels(depth)[0]  # B_0 = I, then B_1..
+        edges = self._incidence(balls[max(len(balls) - 2, 0)])
+        return balls[-1].astype(np.float64), edges.astype(np.float64)
 
     def features(self, depth: int) -> np.ndarray:
         """Feature count vectors of depths 1..depth, one row each.
@@ -180,7 +193,7 @@ class _GraphPack:
             self._features = np.zeros((depth, width))
             balls, rows = self.levels(depth)
             for h, ball in enumerate(balls):
-                parts = [(nodes.T @ ball @ nodes).ravel()]
+                parts = [(nodes.T @ ball.astype(np.float64) @ nodes).ravel()]
                 if edges is not None:
                     parts.append((nodes.T @ rows[h]).ravel())
                 self._features[h] = np.concatenate(parts)
@@ -275,17 +288,18 @@ class KernelContext:
         p_edges = None
         if self.use_edges and self.edge_weights is None:
             p_edges = similarity_matrix(pa.edge_pack, pb.edge_pack, self.params)
-        weights = np.where(p_nodes >= self.tau, p_nodes, 0.0)
+        # every similarity is >= 0, so tau == 0 prunes nothing
+        weights = p_nodes if self.tau == 0.0 else np.where(p_nodes >= self.tau, p_nodes, 0.0)
         (balls_a, rows_a), (balls_b, rows_b) = pa.levels(max_depth), pb.levels(max_depth)
         totals = []
         total = 0.0
         for h, (ball_a, ball_b) in enumerate(zip(balls_a, balls_b)):  # min(H, |Va|, |Vb|)
-            m = ball_a @ p_nodes @ ball_b.T
+            m = ball_a.astype(np.float64) @ p_nodes @ ball_b.astype(np.float64).T
             if self.edge_weights is not None:
                 # P_e = Oe_a diag(qe) Oe_b^T, so E_a P_e E_b^T = C_a diag(qe) C_b^T
                 m += (rows_a[h] * self.edge_weights) @ rows_b[h].T
             elif p_edges is not None:
-                m += rows_a[h] @ p_edges @ rows_b[h].T
+                m += rows_a[h].astype(np.float64) @ p_edges @ rows_b[h].astype(np.float64).T
             m *= weights
             total += float(m.sum())
             totals.append(total)

@@ -159,6 +159,51 @@ class TestMatrixFamilyAgreement:
                 assert pack.edge_pack is None and pack._eincs == []
 
 
+class TestIndicatorMemory:
+    """Packs cache 0/1 indicators as bool, one byte an entry, and widen
+    them to float64 only inside each product."""
+
+    @staticmethod
+    def pack(edge_num, seed=23):
+        schema = synth.mixed_schema(n_cat=1, n_num=1, edge_cat=1, edge_num=edge_num)
+        g = synth.random_graph(np.random.default_rng(seed), schema, min_nodes=9, max_nodes=12)
+        return KernelContext(schema).register(g)
+
+    def test_numerical_edge_levels_are_bool_and_c_ordered(self):
+        pack = self.pack(edge_num=1)
+        n, m = pack.n, pack.graph.num_edges
+        balls, rows = pack.levels(5)
+        assert len(balls) == len(rows) == 5 and m > 0
+        for x in balls + rows:
+            assert x.dtype == np.bool_ and x.flags.c_contiguous
+        assert [x.shape for x in rows] == [(n, m)] * 5
+        cached = sum(x.nbytes for x in pack._balls) + sum(x.nbytes for x in pack._eincs)
+        assert cached == 5 * (n * n + n * m)
+
+    def test_edge_label_counts_stay_float64(self):
+        pack = self.pack(edge_num=0)
+        balls, rows = pack.levels(4)
+        assert all(x.dtype == np.bool_ for x in balls)
+        assert all(x.dtype == np.float64 and x.flags.c_contiguous for x in rows)
+
+    @pytest.mark.parametrize("edge_num", [0, 1])
+    def test_family_is_float64_with_unchanged_bytes(self, edge_num):
+        # the C-ordered float64 0/1 matrices of the oracle's stars
+        pack = self.pack(edge_num)
+        g = pack.graph
+        index = {e: i for i, e in enumerate(g.edges)}
+        for depth in range(1, 5):
+            want_ball = np.zeros((g.num_nodes, g.num_nodes))
+            want_einc = np.zeros((g.num_nodes, g.num_edges))
+            for v, ball, edges in oracles.ref_family(g, depth):
+                want_ball[v, sorted(ball)] = 1.0
+                want_einc[v, [index[e] for e in edges]] = 1.0
+            ball, einc = pack.family(depth)
+            for got, want in (ball, want_ball), (einc, want_einc):
+                assert got.dtype == np.float64 and got.flags.c_contiguous
+                assert got.tobytes() == want.tobytes()
+
+
 class TestNaskKernel:
     def test_plan_validation(self):
         with pytest.raises(ConfigError):

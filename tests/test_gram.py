@@ -230,6 +230,24 @@ class TestComputeGram:
         pruned = compute_gram(ds, tau=0.5)
         assert np.all(pruned.values <= base.values + 1e-12)
 
+    def test_tau_zero_prunes_nothing(self, monkeypatch):
+        # tau = 0 skips the center-weight threshold; the smallest positive
+        # tau applies it and, as every similarity is > 0, keeps every weight
+        ds = compute_ranges(synth.wide_attribute_dataset(seed=11, count=40))
+        taus = []
+        pair_value = KernelContext.pair_value
+
+        def spy(ctx, ga, gb, max_depth):
+            assert ctx.feature_weights is None  # the indicator engine
+            taus.append(ctx.tau)
+            return pair_value(ctx, ga, gb, max_depth)
+
+        monkeypatch.setattr(KernelContext, "pair_value", spy)
+        plan = ExpansionPlan(max_depth=4)
+        grams = [compute_gram(ds, plan=plan, tau=tau) for tau in (0.0, 5e-324)]
+        assert sorted(set(taus)) == [0.0, 5e-324]
+        assert grams[0].values.tobytes() == grams[1].values.tobytes()
+
     def test_tau_pruning_can_make_the_gram_indefinite(self):
         # thresholding the center weights is not a PSD-preserving operation
         schema = synth.mixed_schema(n_cat=1, n_num=2)

@@ -8,7 +8,7 @@ import pytest
 
 from nask.errors import ConfigError, SchemaError
 from nask.graph import AttributeVector, DimensionSpec
-from nask.similarity import PackedAttrs, SimilarityParams, similarity_matrix
+from nask.similarity import PackedAttrs, SimilarityParams, _match_table, similarity_matrix
 from nask.stars import KernelContext
 
 import oracles
@@ -243,6 +243,18 @@ class TestPackedPath:
             for j, y in enumerate(ys):
                 assert mat[i, j] == pytest.approx(
                     oracles.ref_element_P(dims, x, y, gamma), rel=1e-12)
+
+    @pytest.mark.parametrize("n_cat,n_exact", [(1, 0), (0, 1), (2, 3), (4, 1)])
+    def test_match_table_is_shared_read_only_and_equals_its_formula(self, n_cat, n_exact):
+        floor = math.exp(-1.7)
+        table = _match_table(n_cat, n_exact, floor)
+        assert _match_table(n_cat, n_exact, floor) is table
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+        want = [(i + (n_cat - i) * floor) + (j + (n_exact - j) * floor)
+                for i in range(n_cat + 1) for j in range(n_exact + 1)]
+        assert table.tolist() == want
 
     def test_similarity_matrix_is_psd_when_ranges_cover_values(self):
         # one element set against itself: the kernel matrix of the averaged
