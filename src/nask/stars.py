@@ -102,10 +102,10 @@ class _GraphPack:
     balls[h-1][v, u] is True iff u lies within h hops of v; depth 1 is
     I + A and each deeper ball is the previous one times it. Balls and E_h
     are stored as bool, 1 byte an entry where float64 takes 8, and widened
-    to float64 by an explicit astype at each product: the pinned Gram digests hold
-    the float64 BLAS sums, which a bool operand would not take. E_h is
-    kept C-ordered, since the widened copy keeps its layout and the layout
-    sets the bits of the edge products. No incidence matrix
+    to float64 by an explicit astype at each product: the pinned Gram
+    digests hold the float64 BLAS sums, which a bool operand would not
+    take. E_h is kept C-ordered, since the widened copy keeps its layout
+    and the layout sets the bits of the edge products. No incidence matrix
     is kept, only the edge endpoints (u, w) as a 2 x m index array: the
     depth-h star at v holds edge e iff an endpoint of e lies in the
     depth-(h-1) ball at v, so E_h = max(B_{h-1}[:, u], B_{h-1}[:, w]) with
