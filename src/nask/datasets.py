@@ -11,10 +11,15 @@ first in the schema), attribute columns become numerical dimensions.
 from __future__ import annotations
 
 import hashlib
+import io
 import math
+import re
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+
+import numpy as np
 
 from .errors import DatasetError, SchemaError
 from .graph import (
@@ -24,10 +29,8 @@ from .graph import (
     AttributeSchema,
     AttributeVector,
     DimensionSpec,
-    build_adjacency,
     canonical_edge,
-    make_edge_attrs,
-    validate_vector,
+    vector_columns,
 )
 
 _FILE_SUFFIXES = (
@@ -40,6 +43,12 @@ _FILE_SUFFIXES = (
     "edge_attributes",
 )
 _MANDATORY_SUFFIXES = _FILE_SUFFIXES[:3]
+
+# line breaks that str.splitlines honours besides the "\n", "\r\n" and
+# "\r" that reading text already folds into "\n"; np.loadtxt would take
+# them for field separators
+_OTHER_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_INT_TOKEN = re.compile("([+-]?)0*([0-9]{1,19})")  # sign, significant digits
 
 
 @dataclass(frozen=True)
@@ -85,62 +94,109 @@ class Dataset:
         return canonical_digest(self)
 
 
-def _read_lines(path: Path) -> list[str]:
+def _read_table(path: Path, dtype, width: int | None = None) -> np.ndarray:
+    """Parse a TU column file into one (rows, fields) int64 or float64 array.
+
+    Commas and whitespace both separate fields. Every row must have
+    `width` fields, or as many as the first row; float values must be
+    finite; trailing blank lines are dropped, others are errors. The
+    lines are scanned one by one only once the array parse has failed,
+    to name the first bad one.
+    """
+    data = _file_bytes(path)
+    if not data:
+        return np.empty((0, width or 0), dtype)
+    try:
+        with warnings.catch_warnings():
+            # a warning is a failure too: numpy 1.x reads "1.0" in an
+            # integer column through a float and only warns, and a file of
+            # bare commas reads as no data with a warning
+            warnings.simplefilter("error")
+            table = np.loadtxt(
+                io.BytesIO(data), dtype=dtype, comments=None, ndmin=2, encoding="utf-8"
+            )
+    except (ValueError, OverflowError, Warning) as exc:
+        raise _first_bad_line(path, data.decode(), dtype, width) from exc
+    # np.loadtxt skips blank lines, so a short table means a blank line
+    if (
+        len(table) != data.count(b"\n") + 1
+        or table.shape[1] != (width or table.shape[1])
+        or not (dtype is np.int64 or np.isfinite(table).all())
+    ):
+        raise _first_bad_line(path, data.decode(), dtype, width)
+    return table
+
+
+def _file_bytes(path: Path) -> bytes:
+    """A file's text with every line break as "\n", trailing blank lines
+    dropped and commas turned into spaces, UTF-8 encoded: the one copy
+    that np.loadtxt reads and, after a failure, the line scan."""
     try:
         text = path.read_text()
     except OSError as exc:
         raise DatasetError(f"cannot read {path}: {exc}") from exc
-    lines = text.splitlines()
-    while lines and not lines[-1].strip():
-        lines.pop()
-    return lines
+    if any(c in text for c in _OTHER_BREAKS):
+        text = "\n".join(text.splitlines())
+    return text.rstrip().replace(",", " ").encode()
 
 
-def _parse_rows(path: Path, convert, width: int | None = None) -> list[list]:
-    """Parse a TU column file with `convert` (int or float) on every field.
+def _first_bad_line(path: Path, text: str, dtype, width: int | None) -> DatasetError:
+    """The error for the first line of `text`, from _file_bytes, that
+    _read_table rejects.
 
-    Every row must have `width` fields, or as many as the first row; float
-    values must be finite.
+    Checked in order on each line: blank, a token outside the grammar
+    (integers are ASCII digits with an optional sign within int64; floats
+    what `float` reads, without underscores or non-ASCII digits), a
+    non-finite float, and the field count.
     """
-    rows = []
-    for lineno, line in enumerate(_read_lines(path), start=1):
-        # TU files separate fields with commas, sometimes with stray spaces
-        fields = line.replace(",", " ").split()
+    integer = dtype is np.int64
+    kind = "integer" if integer else "numeric"
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = line.split()
         if not fields:
-            raise DatasetError(f"{path.name}:{lineno}: blank line")
-        try:
-            row = list(map(convert, fields))
-        except ValueError as exc:
-            kind = "integer" if convert is int else "numeric"
-            raise DatasetError(f"{path.name}:{lineno}: non-{kind} token") from exc
-        if convert is float and not all(map(math.isfinite, row)):
-            raise DatasetError(f"{path.name}:{lineno}: non-finite attribute value")
-        if width is None:
-            width = len(row)
-        if len(row) != width:
-            raise DatasetError(
-                f"{path.name}:{lineno}: expected {width} fields, got {len(row)}"
-            )
-        rows.append(row)
-    return rows
+            what = "blank line"
+        elif not all(map(_is_int if integer else _is_float, fields)):
+            what = f"non-{kind} token"
+        elif not (integer or all(math.isfinite(float(f)) for f in fields)):
+            what = "non-finite attribute value"
+        else:
+            width = width or len(fields)
+            if len(fields) == width:
+                continue
+            what = f"expected {width} fields, got {len(fields)}"
+        return DatasetError(f"{path.name}:{lineno}: {what}")
+    return DatasetError(f"{path.name}: cannot parse as a table of {kind} fields")
 
 
-def _intern_columns(rows: list[list[int]], prefix: str) -> tuple[list[DimensionSpec], list[list[int]]]:
-    """Intern raw categorical columns to dense symbol ids, keeping originals."""
-    if not rows:
-        return [], []
-    width = len(rows[0])
-    dims, id_rows = [], [[None] * width for _ in rows]
-    for col in range(width):
-        table: dict[int, int] = {}
-        for r, row in enumerate(rows):
-            value = row[col]
-            if value not in table:
-                table[value] = len(table)
-            id_rows[r][col] = table[value]
-        originals = tuple(sorted(table, key=table.get))
-        dims.append(DimensionSpec(f"{prefix}{col}", CATEGORICAL, categories=originals))
-    return dims, id_rows
+def _is_int(token: str) -> bool:
+    match = _INT_TOKEN.fullmatch(token)
+    return match is not None and -(2**63) <= int(match[1] + match[2]) < 2**63
+
+
+def _is_float(token: str) -> bool:
+    if not token.isascii() or "_" in token:
+        return False
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _intern_columns(table: np.ndarray, prefix: str) -> tuple[list[DimensionSpec], np.ndarray]:
+    """Intern raw categorical columns to dense symbol ids in order of first
+    appearance, keeping the originals as each dimension's categories."""
+    dims, ids = [], np.empty_like(table)
+    for col in range(table.shape[1]):
+        values, first, inverse = np.unique(table[:, col], return_index=True, return_inverse=True)
+        order = np.argsort(first)  # symbol id -> index into values
+        symbol = np.empty_like(order)
+        symbol[order] = np.arange(order.size)
+        ids[:, col] = symbol[inverse.reshape(-1)]
+        dims.append(
+            DimensionSpec(f"{prefix}{col}", CATEGORICAL, categories=tuple(values[order].tolist()))
+        )
+    return dims, ids
 
 
 def _read_side(path_for, side: str, count: int, unit: str):
@@ -148,25 +204,34 @@ def _read_side(path_for, side: str, count: int, unit: str):
 
     Label columns become interned categorical dimensions, listed first;
     attribute columns become numerical ones. Returns the side's dimensions
-    and one AttributeVector per row (none when neither file exists).
+    and one (count, fields) table per file read: symbol ids, then values.
     """
-    dims, parts = [], []
-    for suffix, convert in (("labels", int), ("attributes", float)):
+    dims, tables = [], []
+    for suffix, dtype in (("labels", np.int64), ("attributes", np.float64)):
         path = path_for(f"{side}_{suffix}")
         if not path.is_file():
             continue
-        rows = _parse_rows(path, convert)
-        if len(rows) != count:
-            raise DatasetError(f"{path.name}: {len(rows)} rows for {count} {unit}")
-        if convert is int:
-            new_dims, rows = _intern_columns(rows, f"{side}_label_")
+        table = _read_table(path, dtype)
+        if len(table) != count:
+            raise DatasetError(f"{path.name}: {len(table)} rows for {count} {unit}")
+        if dtype is np.int64:
+            new_dims, table = _intern_columns(table, f"{side}_label_")
         else:
-            width = len(rows[0]) if rows else 0
-            new_dims = [DimensionSpec(f"{side}_attr_{c}", NUMERICAL) for c in range(width)]
+            new_dims = [DimensionSpec(f"{side}_attr_{c}", NUMERICAL) for c in range(table.shape[1])]
         dims += new_dims
-        parts.append(rows)
-    vectors = [AttributeVector(tuple(sum(row, []))) for row in zip(*parts)]
-    return tuple(dims), vectors
+        tables.append(table)
+    return tuple(dims), tables
+
+
+def _vectors(tables: list[np.ndarray], rows: np.ndarray) -> list[AttributeVector]:
+    """One AttributeVector per selected row: the ids of the label table,
+    then the values of the attribute table, as Python ints and floats."""
+    columns = [table[rows, k].tolist() for table in tables for k in range(table.shape[1])]
+    return list(map(AttributeVector, zip(*columns)))
+
+
+def _first_true(mask: np.ndarray) -> int | None:
+    return int(np.argmax(mask)) if mask.any() else None
 
 
 def load_tu_dataset(directory, name: str | None = None) -> Dataset:
@@ -191,92 +256,121 @@ def load_tu_dataset(directory, name: str | None = None) -> Dataset:
         if not path_for(suffix).is_file():
             raise DatasetError(f"missing mandatory file {path_for(suffix).name}")
 
-    indicator = [row[0] for row in _parse_rows(path_for("graph_indicator"), int, 1)]
-    if not indicator:
+    indicator = _read_table(path_for("graph_indicator"), np.int64, 1)[:, 0]
+    if not indicator.size:
         raise DatasetError("graph indicator file declares no nodes")
     # graph ids must run 1..G without a gap; checked on the distinct ids, so
     # a stray large id costs nothing before it is rejected
-    gids = sorted(set(indicator))
+    gids, sizes = np.unique(indicator, return_counts=True)
     if gids[0] < 1:
         raise DatasetError("graph indicator ids must be >= 1")
-    for expected, gid in enumerate(gids, start=1):
-        if gid != expected:
-            raise DatasetError(f"graph {expected} has no nodes")
+    gaps = np.flatnonzero(gids != np.arange(1, gids.size + 1))
+    if gaps.size:
+        raise DatasetError(f"graph {gaps[0] + 1} has no nodes")
+    num_graphs, num_nodes = gids.size, indicator.size
 
-    raw_labels = [row[0] for row in _parse_rows(path_for("graph_labels"), int, 1)]
-    if len(raw_labels) != len(gids):
-        raise DatasetError(
-            f"{len(raw_labels)} graph labels for {len(gids)} graphs"
-        )
-    class_values = tuple(sorted(set(raw_labels)))
-    remap = {value: i for i, value in enumerate(class_values)}
-    labels = tuple(remap[value] for value in raw_labels)
+    raw_labels = _read_table(path_for("graph_labels"), np.int64, 1)[:, 0]
+    if raw_labels.size != num_graphs:
+        raise DatasetError(f"{raw_labels.size} graph labels for {num_graphs} graphs")
+    class_values, labels = np.unique(raw_labels, return_inverse=True)
+    class_values, labels = tuple(class_values.tolist()), tuple(labels.reshape(-1).tolist())
 
-    node_dims, node_vectors = _read_side(path_for, "node", len(indicator), "nodes")
+    node_dims, node_tables = _read_side(path_for, "node", num_nodes, "nodes")
     if not node_dims:
         raise DatasetError(
             f"dataset {name!r} has neither node labels nor node attributes; "
             "kernels need at least one node dimension"
         )
-    # one pass over the indicator: each graph's node vectors in file order,
-    # and each node's local id, its rank among them
-    node_attrs: list[list[AttributeVector]] = [[] for _ in gids]
-    local = []
-    for gid, vec in zip(indicator, node_vectors):
-        local.append(len(node_attrs[gid - 1]))
-        node_attrs[gid - 1].append(vec)
+    # nodes graph by graph, in file order within each graph; a node's local
+    # id is its rank there, and graph g's nodes start at first_node[g]
+    order = np.argsort(indicator, kind="stable")
+    graph_of = indicator - 1
+    first_node = np.zeros(num_graphs + 1, np.int64)
+    np.cumsum(sizes, out=first_node[1:])
+    local = np.empty(num_nodes, np.int64)
+    local[order] = np.arange(num_nodes) - first_node[graph_of[order]]
 
-    edge_rows = _parse_rows(path_for("A"), int, 2)
-    edge_dims, edge_vectors = _read_side(path_for, "edge", len(edge_rows), "edge rows")
+    edge_rows = _read_table(path_for("A"), np.int64, 2)
+    edge_dims, edge_tables = _read_side(path_for, "edge", len(edge_rows), "edge rows")
     schema = AttributeSchema(node_dims=node_dims, edge_dims=edge_dims)
 
-    def row_error(row: int, what: str) -> DatasetError:
-        return DatasetError(f"{name}_A.txt:{row + 1}: {what}")
-
-    # one table of directed rows keyed by 1-based global node ids
-    num_nodes = len(node_vectors)
-    directed: dict[tuple[int, int], int] = {}
-    for row, (u, v) in enumerate(edge_rows):
-        if not (0 < u <= num_nodes and 0 < v <= num_nodes):
-            raise row_error(row, f"node id {v if 0 < u <= num_nodes else u} out of range")
-        if u == v:
-            raise row_error(row, f"self-loop on node {u}")
-        if indicator[u - 1] != indicator[v - 1]:
-            raise row_error(
-                row, f"edge joins nodes of graphs {indicator[u - 1]} and {indicator[v - 1]}"
-            )
-        if directed.setdefault((u, v), row) != row:  # the key holds an earlier row
-            raise row_error(row, "duplicate edge row")
+    # row checks on 1-based ids u, v; later checks read clamped 0-based ids
+    # a, b, which are exact on every row before the first faulty one
+    u, v = edge_rows.T
+    in_range = (u > 0) & (u <= num_nodes) & (v > 0) & (v <= num_nodes)
+    a, b = np.where(in_range, u - 1, 0), np.where(in_range, v - 1, 0)
+    keys, first_row = np.unique(a * num_nodes + b, return_index=True)
+    repeated = np.ones(len(edge_rows), bool)
+    repeated[first_row] = False
+    row = _first_true(~in_range | (u == v) | (graph_of[a] != graph_of[b]) | repeated)
+    if row is not None:
+        ru, rv = int(u[row]), int(v[row])
+        if not in_range[row]:
+            what = f"node id {rv if 0 < ru <= num_nodes else ru} out of range"
+        elif ru == rv:
+            what = f"self-loop on node {ru}"
+        elif graph_of[a[row]] != graph_of[b[row]]:
+            what = f"edge joins nodes of graphs {indicator[a[row]]} and {indicator[b[row]]}"
+        else:
+            what = "duplicate edge row"
+        raise DatasetError(f"{name}_A.txt:{row + 1}: {what}")
 
     # every row needs its mirror; an undirected edge is kept at its first
     # row and its second row must carry the same attributes
-    has_edge_dims = schema.has_edge_attrs
-    edges: list[dict] = [{} for _ in gids]  # per graph: local edge -> vector
-    for (u, v), row in directed.items():
-        mirror = directed.get((v, u))
-        if mirror is not None and mirror < row:  # an edge's second row
-            if not has_edge_dims or edge_vectors[row].values == edge_vectors[mirror].values:
-                continue
-        gid = indicator[u - 1]
-        key = (local[u - 1], local[v - 1])
-        if mirror is None:
+    mirror_keys = b * num_nodes + a
+    at = np.minimum(np.searchsorted(keys, mirror_keys), keys.size - 1)
+    has_mirror = keys[at] == mirror_keys
+    mirror = first_row[at]
+    second = has_mirror & (mirror < np.arange(len(edge_rows)))
+    disagree = np.zeros(len(edge_rows), bool)
+    rows = np.flatnonzero(second)
+    for table in edge_tables:
+        disagree[rows] |= (table[rows] != table[mirror[rows]]).any(axis=1)
+    row = _first_true(~has_mirror | disagree)
+    if row is not None:
+        gid = int(indicator[a[row]])
+        key = (int(local[a[row]]), int(local[b[row]]))
+        if not has_mirror[row]:
             raise DatasetError(f"graph {gid}: edge {key} lacks its mirrored row")
-        if mirror < row:
-            raise DatasetError(
-                f"graph {gid}: mirrored rows of edge {canonical_edge(*key)} "
-                "disagree on attributes"
-            )
-        edges[gid - 1][key] = edge_vectors[row] if has_edge_dims else None
+        raise DatasetError(
+            f"graph {gid}: mirrored rows of edge {canonical_edge(*key)} "
+            "disagree on attributes"
+        )
 
+    # kept rows as canonical local edges, sorted by graph, then by edge
+    kept = np.flatnonzero(~second)
+    lo = np.minimum(local[a[kept]], local[b[kept]])
+    hi = np.maximum(local[a[kept]], local[b[kept]])
+    edge_graph = graph_of[a[kept]]
+    by_edge = np.lexsort((hi, lo, edge_graph))
+    kept, lo, hi, edge_graph = kept[by_edge], lo[by_edge], hi[by_edge], edge_graph[by_edge]
+    first_edge = np.zeros(num_graphs + 1, np.int64)
+    np.cumsum(np.bincount(edge_graph, minlength=num_graphs), out=first_edge[1:])
+
+    # both directions of every edge, sorted by node, give each node's
+    # sorted neighbors
+    tail = np.concatenate((first_node[edge_graph] + lo, first_node[edge_graph] + hi))
+    head = np.concatenate((hi, lo))
+    heads = head[np.lexsort((head, tail))].tolist()
+    ends = np.cumsum(np.bincount(tail, minlength=num_nodes)).tolist()
+    adjacency = [tuple(heads[start:end]) for start, end in zip([0] + ends, ends)]
+
+    node_vectors = _vectors(node_tables, order)
+    edge_attrs = None
+    if schema.has_edge_attrs:
+        edge_attrs = list(zip(zip(lo.tolist(), hi.tolist()), _vectors(edge_tables, kept)))
+    nodes_at, edges_at = first_node.tolist(), first_edge.tolist()
     graphs = tuple(
         AttributedGraph(
-            graph_id=gidx,
-            adjacency=build_adjacency(len(attrs), edges[gidx]),
-            node_attrs=tuple(attrs),
-            edge_attrs=make_edge_attrs(edges[gidx]) if has_edge_dims else None,
-            label=labels[gidx],
+            graph_id=g,
+            adjacency=tuple(adjacency[nodes_at[g]:nodes_at[g + 1]]),
+            node_attrs=tuple(node_vectors[nodes_at[g]:nodes_at[g + 1]]),
+            edge_attrs=(
+                None if edge_attrs is None else tuple(edge_attrs[edges_at[g]:edges_at[g + 1]])
+            ),
+            label=labels[g],
         )
-        for gidx, attrs in enumerate(node_attrs)
+        for g in range(num_graphs)
     )
     return Dataset(
         name=name,
@@ -352,17 +446,18 @@ def validate_dataset(ds: Dataset) -> dict:
         total_nodes += g.num_nodes
         total_edges += g.num_edges
         degrees.extend(len(nbrs) for nbrs in g.adjacency)
-        sides = [("node", ds.schema.node_dims, enumerate(g.node_attrs))]
+        sides = [("node", ds.schema.node_dims, list(enumerate(g.node_attrs)))]
         if ds.schema.has_edge_attrs:
             sides.append(("edge", ds.schema.edge_dims, g.edge_attrs))
         for what, dims, keyed_vectors in sides:
             if keyed_vectors is None:
                 raise DatasetError(f"graph {i} lacks edge attributes required by the schema")
-            for key, vec in keyed_vectors:
-                try:
-                    validate_vector(vec, dims, f"graph {i} {what} {key}")
-                except SchemaError as exc:
-                    raise DatasetError(str(exc)) from exc
+            vectors = [vec for _, vec in keyed_vectors]
+            keys = [key for key, _ in keyed_vectors]
+            try:
+                vector_columns(vectors, dims, f"graph {i} {what}", keys)
+            except SchemaError as exc:
+                raise DatasetError(str(exc)) from exc
     histogram = {}
     for label in ds.labels:
         original = ds.class_values[label]

@@ -105,6 +105,40 @@ def validate_vector(vec: AttributeVector, dims: tuple[DimensionSpec, ...], where
                 raise SchemaError(f"non-finite value in dimension {dim.name!r}{tag}")
 
 
+def vector_columns(vectors, dims: tuple[DimensionSpec, ...], where: str, keys=None) -> list[tuple]:
+    """The values of a sequence of attribute vectors as one tuple per
+    dimension, each whole column checked against its dimension at once.
+
+    A categorical column passes when every value's type is exactly `int`
+    (so bools fail) and, given a categories table, its symbol ids lie in
+    it; a numerical column when every type is `int` or `float` and every
+    value is finite. Only when a length or a column fails does
+    validate_vector run on the vectors in turn, raising for the first bad
+    one named `{where} {key}`, keys defaulting to the indices; what it
+    accepts then (a float subclass, say) is accepted.
+    """
+    rows = [vec.values for vec in vectors]
+    columns = list(zip(*rows)) if rows else [()] * len(dims)
+    if not (set(map(len, rows)) <= {len(dims)} and all(map(_column_ok, columns, dims))):
+        for key, vec in zip(range(len(rows)) if keys is None else keys, vectors):
+            validate_vector(vec, dims, f"{where} {key}")
+    return columns
+
+
+def _column_ok(column: tuple, dim: DimensionSpec) -> bool:
+    types = set(map(type, column))
+    if dim.kind == CATEGORICAL:
+        if not types <= {int}:
+            return False
+        return not (column and dim.categories) or (
+            min(column) >= 0 and max(column) < len(dim.categories)
+        )
+    try:
+        return types <= {int, float} and all(map(math.isfinite, column))
+    except OverflowError:  # an int beyond float; validate_vector raises it in order
+        return False
+
+
 def canonical_edge(u: int, v: int) -> tuple[int, int]:
     """Order an undirected edge as (min, max); self-loops are rejected."""
     if u == v:

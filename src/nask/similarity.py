@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SchemaError, is_real
-from .graph import CATEGORICAL, DimensionSpec, validate_vector
+from .graph import CATEGORICAL, DimensionSpec, vector_columns
 
 
 @dataclass(frozen=True)
@@ -46,22 +46,20 @@ class PackedAttrs:
     values (`num_scaled`) and zero-range numerical values (`num_exact`).
     Each is a C-contiguous d x n array whose row k holds that kind's k-th
     dimension, in schema order, for every element, so all-pairs similarity
-    works on whole n_a x n_b planes, one dimension at a time. Every vector
-    is checked against the dimensions first; errors name it as
-    `{where} {index}`.
+    works on whole n_a x n_b planes, one dimension at a time. The values
+    are checked against the dimensions first, column by column; errors
+    name the first bad vector as `{where} {index}`.
     """
 
     __slots__ = ("count", "dim_count", "cat", "num_scaled", "num_exact")
 
     def __init__(self, dims: tuple[DimensionSpec, ...], vectors, where: str = "element"):
         vectors = list(vectors)
-        for i, vec in enumerate(vectors):
-            validate_vector(vec, dims, f"{where} {i}")
+        columns = vector_columns(vectors, dims, where)
         self.count = len(vectors)
         self.dim_count = len(dims)
         cat_rows, scaled_rows, exact_rows, ranges = [], [], [], []
-        for k, dim in enumerate(dims):
-            row = [vec.values[k] for vec in vectors]
+        for row, dim in zip(columns, dims):
             if dim.kind == CATEGORICAL:
                 cat_rows.append(row)
                 continue
@@ -85,7 +83,7 @@ class PackedAttrs:
 
 
 def _rows(rows: list, dtype, count: int) -> np.ndarray:
-    """One C-contiguous d x count array from d per-dimension value lists."""
+    """One C-contiguous d x count array from d per-dimension value columns."""
     return np.array(rows, dtype=dtype).reshape(len(rows), count)
 
 

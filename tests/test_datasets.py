@@ -8,13 +8,20 @@ import pytest
 from nask.datasets import (
     Dataset,
     canonical_digest,
+    canonical_files,
     compute_ranges,
     load_tu_dataset,
     save_tu_dataset,
     validate_dataset,
 )
 from nask.errors import DatasetError
-from nask.graph import AttributeSchema, AttributeVector, DimensionSpec
+from nask.graph import (
+    AttributedGraph,
+    AttributeSchema,
+    AttributeVector,
+    DimensionSpec,
+    permute_graph,
+)
 
 import synth
 
@@ -200,6 +207,37 @@ class TestLoading:
         assert (back.labels, back.class_values) == (ds.labels, ds.class_values)
         assert canonical_digest(back) == canonical_digest(ds) == SHUFFLED_DIGEST
 
+    def test_scrambled_files_load_as_relabelled_graphs(self, tmp_path):
+        # node rows permuted across graphs and edge rows shuffled: each
+        # graph must come back relabelled by the file order of its nodes
+        schema = synth.mixed_schema(n_cat=1, n_num=1, edge_cat=1, edge_num=1)
+        ds = synth.dataset_from_graphs(synth.random_graph_set(3, 12, schema), "s", schema)
+        files = {path.name[2:-4]: path.read_text().splitlines()
+                 for path in save_tu_dataset(ds, tmp_path / "canonical", name="s")}
+        rng = np.random.default_rng(4)
+        position = rng.permutation(len(files["graph_indicator"]))  # old node -> new row
+        rows = rng.permutation(len(files["A"]))
+        scrambled = {}
+        for suffix, lines in files.items():
+            if suffix in ("graph_indicator", "node_labels", "node_attributes"):
+                lines = [lines[old] for old in np.argsort(position)]
+            elif suffix == "A":
+                ends = [map(int, line.split(",")) for line in lines]
+                lines = [", ".join(str(position[e - 1] + 1) for e in ends[r]) for r in rows]
+            elif suffix != "graph_labels":
+                lines = [lines[r] for r in rows]
+            scrambled[suffix] = lines
+        loaded = load_tu_dataset(write_tu(tmp_path, "s", **scrambled))
+        expected, first = [], 0
+        for g in ds.graphs:
+            rank = np.argsort(np.argsort(position[first:first + g.num_nodes]))
+            expected.append(permute_graph(g, [int(r) for r in rank]))
+            first += g.num_nodes
+        relabelled = Dataset(name="s", schema=ds.schema, graphs=tuple(expected),
+                             labels=ds.labels, class_values=ds.class_values)
+        assert canonical_files(loaded) == canonical_files(relabelled)
+        assert [g.adjacency for g in loaded.graphs] == [g.adjacency for g in expected]
+
     def test_stray_large_graph_id_rejected_without_allocating(self, tmp_path):
         # a table per graph id up to 10**12 would not fit in memory
         files = dict(BASIC, graph_indicator=["1", "1", "1", "1000000000000", "1000000000000"])
@@ -212,6 +250,127 @@ class TestLoading:
         directory = write_tu(tmp_path, "labels", **files)
         with pytest.raises(DatasetError, match="graph labels"):
             load_tu_dataset(directory)
+
+
+def load_error(tmp_path, name, **files) -> str:
+    with pytest.raises(DatasetError) as info:
+        load_tu_dataset(write_tu(tmp_path, name, **files))
+    return str(info.value)
+
+
+class TestTokenGrammar:
+    """Fields are runs of non-separator characters between commas and
+    whitespace; integers are ASCII decimal with an optional sign within
+    int64, floats what `float` reads bar underscores and non-ASCII digits."""
+
+    def test_loose_separators_crlf_and_plus_signs_are_accepted(self, tmp_path, basic_dir):
+        files = dict(
+            BASIC,
+            A=["1,2", "2 1", " 2 ,3 ", "3\t2", "+4, +5", "5,,4"],
+            graph_labels=["+1", "-1"],
+            node_attributes=["0.5", "+1.5", "2.5e0", " 3.5", "4.50"],
+        )
+        directory = tmp_path / "loose"
+        directory.mkdir()
+        for suffix, lines in files.items():
+            # CRLF line ends, and trailing blank lines, which are dropped
+            text = "\r\n".join(lines + ["", "  "]) + "\r\n"
+            (directory / f"loose_{suffix}.txt").write_bytes(text.encode())
+        loose, basic = load_tu_dataset(directory), load_tu_dataset(basic_dir)
+        assert loose.graphs == basic.graphs
+        assert loose.digest == basic.digest
+
+    @pytest.mark.parametrize("suffix", ("A", "graph_indicator", "node_attributes", "edge_labels"))
+    @pytest.mark.parametrize("blank", ("", "  ", ", ,"))
+    def test_blank_line_mid_file_is_rejected(self, tmp_path, suffix, blank):
+        # np.loadtxt skips blank lines; the row count gives them away
+        lines = list(FULL[suffix])
+        lines.insert(2, blank)
+        message = load_error(tmp_path, "blank", **dict(FULL, **{suffix: lines}))
+        assert message == f"blank_{suffix}.txt:3: blank line"
+
+    @pytest.mark.parametrize("token", ("1.0", "1e3", "1_000", "0x1", "٣", "- 1",
+                                       str(2**63), str(-(2**63) - 1)))
+    @pytest.mark.parametrize("suffix", ("A", "node_labels"))
+    def test_integer_file_rejects_other_tokens(self, tmp_path, suffix, token):
+        lines = list(BASIC[suffix])
+        lines[2] = f"2, {token}" if suffix == "A" else token
+        message = load_error(tmp_path, "int", **dict(BASIC, **{suffix: lines}))
+        assert message == f"int_{suffix}.txt:3: non-integer token"
+
+    def test_integer_labels_span_int64(self, tmp_path):
+        labels = ["7", str(2**63 - 1), "7", str(-(2**63)), "-0"]
+        ds = load_tu_dataset(write_tu(tmp_path, "wide", **dict(BASIC, node_labels=labels)))
+        assert ds.schema.node_dims[0].categories == (7, 2**63 - 1, -(2**63), 0)
+
+    @pytest.mark.parametrize("token", ("1_000.5", "0x1p3", "1.5e", "٣.5", "1d5"))
+    def test_attribute_file_rejects_other_tokens(self, tmp_path, token):
+        lines = list(BASIC["node_attributes"])
+        lines[3] = token
+        message = load_error(tmp_path, "num", **dict(BASIC, node_attributes=lines))
+        assert message == "num_node_attributes.txt:4: non-numeric token"
+
+    @pytest.mark.parametrize("token", ("nan", "-inf", "Infinity", "1e400"))
+    @pytest.mark.parametrize("suffix", ("node_attributes", "edge_attributes"))
+    def test_attribute_file_rejects_non_finite_values(self, tmp_path, suffix, token):
+        lines = list(FULL[suffix])
+        lines[2] = token
+        message = load_error(tmp_path, "nonfinite", **dict(FULL, **{suffix: lines}))
+        assert message == f"nonfinite_{suffix}.txt:3: non-finite attribute value"
+
+    def test_first_bad_line_wins_across_kinds_of_fault(self, tmp_path):
+        # line 2 has the wrong width, line 4 a bad token and line 5 is blank
+        lines = ["0.5", "1.5, 2.5", "2.5", "x", "", "4.5"]
+        message = load_error(tmp_path, "order", **dict(BASIC, node_attributes=lines))
+        assert message == "order_node_attributes.txt:2: expected 1 fields, got 2"
+
+
+class TestEdgeRowPrecedence:
+    """The first faulty `_A.txt` row is reported, and a row with several
+    faults reports the first of: range, self-loop, graph, duplicate. All
+    row checks come before the mirror checks."""
+
+    # BASIC without edge labels: graph 1 holds nodes 1-3, graph 2 nodes 4-5
+    FILES = {k: v for k, v in BASIC.items() if k != "edge_labels"}
+
+    def test_earliest_faulty_row_is_named(self, tmp_path):
+        edges = ["1, 2", "2, 1", "3, 3", "2, 3", "9, 1", "3, 2"]
+        message = load_error(tmp_path, "rows", **dict(self.FILES, A=edges))
+        assert message == "rows_A.txt:3: self-loop on node 3"
+
+    @pytest.mark.parametrize("row, what", [
+        ("9, 9", "node id 9 out of range"),  # also a self-loop
+        ("0, 9", "node id 0 out of range"),
+        ("2, 9", "node id 9 out of range"),
+        ("9, 2", "node id 9 out of range"),
+        ("3, 3", "self-loop on node 3"),
+        ("3, 4", "edge joins nodes of graphs 1 and 2"),
+        ("2, 1", "duplicate edge row"),
+    ])
+    def test_row_with_several_faults_reports_the_first_check(self, tmp_path, row, what):
+        edges = ["1, 2", "2, 1", row, "2, 3", "3, 2", "4, 5", "5, 4", "3, 4"]
+        message = load_error(tmp_path, "row", **dict(self.FILES, A=edges))
+        assert message == f"row_A.txt:3: {what}"
+
+    def test_row_checks_come_before_mirror_checks(self, tmp_path):
+        # row 1 lacks its mirror, but the self-loop on row 4 is reported
+        edges = ["1, 2", "2, 3", "3, 2", "3, 3"]
+        message = load_error(tmp_path, "loop", **dict(self.FILES, A=edges))
+        assert message == "loop_A.txt:4: self-loop on node 3"
+
+    def test_earliest_mirror_fault_is_named(self, tmp_path):
+        missing_first = dict(
+            BASIC, A=["1, 2", "2, 1", "2, 3", "4, 5", "5, 4"],
+            edge_labels=["10", "10", "20", "30", "31"],
+        )
+        message = load_error(tmp_path, "missing", **missing_first)
+        assert message == "graph 1: edge (1, 2) lacks its mirrored row"
+        disagree_first = dict(
+            BASIC, A=["1, 2", "2, 1", "4, 5", "5, 4", "3, 2"],
+            edge_labels=["10", "11", "30", "30", "20"],
+        )
+        message = load_error(tmp_path, "disagree", **disagree_first)
+        assert message == "graph 1: mirrored rows of edge (0, 1) disagree on attributes"
 
 
 class TestRanges:
@@ -244,6 +403,36 @@ class TestValidationReport:
         assert report["node_dims"][0]["cardinality"] == 2
         assert report["node_dims"][1]["range_min"] == 0.5
         assert len(report["digest"]) == 64
+
+    def test_first_bad_vector_is_named(self):
+        schema = AttributeSchema(
+            node_dims=(DimensionSpec("c", "categorical", categories=(0, 1)),
+                       DimensionSpec("x", "numerical", range_min=0.0, range_max=1.0)),
+            edge_dims=(DimensionSpec("e", "categorical", categories=(0, 1)),),
+        )
+
+        def dataset(nodes, edges):
+            graph = AttributedGraph(
+                graph_id=0, adjacency=((1,), (0, 2), (1,)),
+                node_attrs=tuple(map(AttributeVector, nodes)),
+                edge_attrs=tuple(zip(((0, 1), (1, 2)), map(AttributeVector, edges))),
+                label=0,
+            )
+            return Dataset(name="bad", schema=schema, graphs=(graph,), labels=(0,),
+                           class_values=(0,))
+
+        good_edges = ((0,), (1,))
+        nodes = ((0, 0.5), (True, 0.5), (1, float("inf")))
+        with pytest.raises(DatasetError, match=r"'c' needs a symbol id \(graph 0 node 1\)"):
+            validate_dataset(dataset(nodes, good_edges))
+        nodes = ((0, 0.5), (1, False), (2, 0.5))
+        with pytest.raises(DatasetError, match=r"'x' needs a real value \(graph 0 node 1\)"):
+            validate_dataset(dataset(nodes, good_edges))
+        good_nodes = ((0, 0.5), (1, 0.5), (0, 0.25))
+        bad_edge = r"symbol id 2 out of range for 'e' \(graph 0 edge \(0, 1\)\)"
+        with pytest.raises(DatasetError, match=bad_edge):
+            validate_dataset(dataset(good_nodes, ((2,), (True,))))
+        assert validate_dataset(dataset(good_nodes, good_edges))["nodes"] == 3
 
 
 class TestRoundTrip:

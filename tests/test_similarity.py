@@ -2,6 +2,7 @@
 packed all-pairs path, against frozen constants and the scalar oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -173,6 +174,30 @@ class TestPackedPath:
             PackedAttrs((CAT,), [AttributeVector((0.5,))])
         with pytest.raises(SchemaError, match=r"2 values, schema declares 1 \(element 1\)"):
             PackedAttrs((CAT,), [AttributeVector((0,)), AttributeVector((0, 1))])
+
+    def test_first_bad_vector_is_named_not_first_bad_column(self):
+        # column c fails at element 2, column x already at element 1
+        vectors = [AttributeVector((0, 1.0)), AttributeVector((0, math.nan)),
+                   AttributeVector((0.5, 1.0))]
+        with pytest.raises(SchemaError, match=r"non-finite value in dimension 'x' \(element 1\)"):
+            PackedAttrs((CAT, NUM), vectors)
+
+    @pytest.mark.parametrize("dim, good, bad, what", [
+        (CAT, 1, True, "categorical dimension 'c' needs a symbol id"),
+        (NUM, 1.0, False, "numerical dimension 'x' needs a real value"),
+        (CAT, 2, 3, "symbol id 3 out of range for 'c'"),
+        (CAT, 2, -1, "symbol id -1 out of range for 'c'"),
+    ])
+    def test_whole_column_checks_reject_what_each_vector_check_does(self, dim, good, bad, what):
+        vectors = [AttributeVector((good,)), AttributeVector((bad,))]
+        with pytest.raises(SchemaError, match=re.escape(f"{what} (element 1)")):
+            PackedAttrs((dim,), vectors)
+
+    def test_value_the_vector_check_accepts_is_packed(self):
+        # a numpy float is not exactly `float`, so its column takes the
+        # vector-by-vector check, which accepts it
+        packed = PackedAttrs((NUM,), [AttributeVector((np.float64(2.5),)), AttributeVector((5,))])
+        assert packed.num_scaled.tolist() == [[0.25, 0.5]]
 
     def test_matrix_matches_scalar_loop(self):
         rng = np.random.default_rng(2)
