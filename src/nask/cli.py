@@ -22,10 +22,11 @@ import numpy as np
 
 from .datasets import compute_ranges, load_tu_dataset, validate_dataset
 from .errors import ConfigError, NaskError
-from .evaluate import CvConfig, cross_validate
+from .evaluate import RANGE_MODES, CvConfig, cross_validate
 from .expansion import ExpansionPlan
 from .gram import check_psd, compute_gram, export_gram, import_gram
 from .similarity import SimilarityParams
+from .stars import EDGE_MODES
 from .svm import predict, train_ovr
 from .version import __version__
 
@@ -305,7 +306,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_gram.add_argument("--gamma", type=float, default=1.0)
     p_gram.add_argument("--depth", type=int, default=4, help="expansion depth H")
     p_gram.add_argument("--tau", type=float, default=0.0, help="center-similarity pruning threshold")
-    p_gram.add_argument("--edge-elements", choices=("auto", "on", "off"), default="auto")
+    p_gram.add_argument("--edge-elements", choices=EDGE_MODES, default="auto")
     p_gram.add_argument("--normalize", action="store_true")
     p_gram.add_argument("--threads", type=int, default=None)
     p_gram.add_argument("--out", required=True)
@@ -332,9 +333,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_cv.add_argument("--repeats", type=int, default=10)
     p_cv.add_argument("--seed", type=int, default=0)
     p_cv.add_argument("--inner-folds", type=int, default=3)
-    p_cv.add_argument("--range-mode", choices=("full", "per-fold"), default="full")
+    p_cv.add_argument("--range-mode", choices=RANGE_MODES, default="full")
     p_cv.add_argument("--tau", type=float, default=0.0)
-    p_cv.add_argument("--edge-elements", choices=("auto", "on", "off"), default="auto")
+    p_cv.add_argument("--edge-elements", choices=EDGE_MODES, default="auto")
     p_cv.add_argument("--threads", type=int, default=None)
     p_cv.add_argument("--run-file", default=None, help="JSON file mirroring cv flags")
     p_cv.add_argument("--out", required=True, help="report JSON path")

@@ -218,12 +218,13 @@ def _kernel_table(ds: Dataset, cfg: CvConfig, prefix: str, seconds: dict, psd: d
     A pass at the deepest grid depth yields the Gram of each grid depth, and
     every raw Gram gets a spectral PSD verdict. `psd` gains one entry per
     Gram, keyed `{prefix}gamma=G,H=D`; `seconds` one per pass, keyed by its
-    deepest depth.
+    deepest depth. G is gamma as `:g` prints it, or its repr if that rounds.
     """
     depths = tuple(int(h) for h in cfg.depths)
     deepest = max(depths)
     table = {}
     for gamma in cfg.gammas:
+        label = f"{gamma:g}" if float(f"{gamma:g}") == gamma else repr(float(gamma))
         started = time.perf_counter()
         grams = compute_gram(
             ds,
@@ -234,10 +235,10 @@ def _kernel_table(ds: Dataset, cfg: CvConfig, prefix: str, seconds: dict, psd: d
             threads=cfg.threads,
             depths=depths,
         )
-        seconds[f"{prefix}gamma={gamma:g},H={deepest}"] = round(time.perf_counter() - started, 6)
+        seconds[f"{prefix}gamma={label},H={deepest}"] = round(time.perf_counter() - started, 6)
         for depth, gram in grams.items():
             verdict = check_psd(gram)
-            psd[f"{prefix}gamma={gamma:g},H={depth}"] = {
+            psd[f"{prefix}gamma={label},H={depth}"] = {
                 "psd": verdict.psd, "min_eig": verdict.min_eig, "max_eig": verdict.max_eig,
             }
             for normalize in cfg.normalize_options:

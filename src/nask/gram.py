@@ -1,14 +1,13 @@
 """Gram-matrix computation, normalization, PSD validation, persistence.
 
-Both engines fill only the upper triangle (j >= i) of each kept depth's
-table, and compute_gram mirrors it once: on the indicator engine each entry
-by exactly one worker of a fork pool, on the feature map (see stars.py) a
-row at a time in this process, by the same elementwise product-and-sum as
-a single pair. Either way the per-entry evaluation order is fixed, so the
-matrix is exactly symmetric as stored and byte-identical across --threads
-settings. Files use a small text format: a version header, one-line JSON
-metadata, the dimension, then rows of space-separated reals at 17
-significant digits (bit-exact round trip).
+compute_gram has one builder for both engines: KernelContext.gram_rows
+(see stars.py) forms spans of upper-triangle rows (j >= i), in this process
+or in a fork pool, and each span is written into both triangles of every
+kept depth's table. Every entry is formed once, as its single pair's value,
+so the matrix is exactly symmetric as stored and byte-identical across
+--threads settings. Files use a small text format: a version header,
+one-line JSON metadata, the dimension, then rows of space-separated reals
+at 17 significant digits (bit-exact round trip).
 """
 
 from __future__ import annotations
@@ -18,6 +17,7 @@ import json
 import math
 import multiprocessing
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -133,67 +133,20 @@ def matrix_digest(values: np.ndarray) -> str:
 _WORKER_STATE: dict = {}
 
 
-def _pair_values(span) -> np.ndarray:
-    """Kernel values of the upper-triangle entries lo..hi-1, in order.
-
-    One row per entry and one column per kept depth. The job (ctx, graphs,
-    depth, columns, rows, cols) is the one compute_gram left in
-    _WORKER_STATE; forked pool workers inherit it.
-    """
-    ctx, graphs, depth, columns, rows, cols = _WORKER_STATE["job"]
-    lo, hi = span
-    values = np.empty((hi - lo, len(columns)))
-    for k, (i, j) in enumerate(zip(rows[lo:hi].tolist(), cols[lo:hi].tolist())):
-        try:
-            totals = ctx.pair_value(graphs[i], graphs[j], depth)
-        except MemoryError as exc:
-            raise GramComputeError(f"resource exhaustion while computing pair ({i}, {j})") from exc
-        except FloatingPointError as exc:
-            raise GramComputeError(f"numeric failure while computing pair ({i}, {j})") from exc
-        # a running total that turns non-finite stays so at every deeper depth
-        if not math.isfinite(totals[-1]):
-            raise GramComputeError(f"non-finite kernel value at pair ({i}, {j})")
-        values[k] = [totals[c] for c in columns]
-    return values
+def _span_rows(span) -> list[np.ndarray]:
+    """The kept depths of Gram rows lo..hi-1 of the job (ctx, graphs, depth,
+    kept) left in _WORKER_STATE, which forked pool workers inherit."""
+    ctx, graphs, depth, kept = _WORKER_STATE["job"]
+    return [totals[kept] for totals in ctx.gram_rows(graphs, *span, depth)]
 
 
-def _indicator_tables(ctx, graphs, depth, kept, threads) -> list[np.ndarray]:
-    """The kept depths' upper triangles, pair by pair, split over a fork pool."""
-    n = len(graphs)
-    rows, cols = np.triu_indices(n)
-    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        warnings.warn("fork start method unavailable; computing on one thread")
-        threads = 1
-    _WORKER_STATE["job"] = (ctx, graphs, depth, [h - 1 for h in kept], rows, cols)
-    try:
-        if threads == 1:
-            flat = _pair_values((0, rows.size))
-        else:
-            cuts = [rows.size * k // (threads * 4) for k in range(threads * 4 + 1)]
-            with multiprocessing.get_context("fork").Pool(processes=threads) as pool:
-                flat = np.concatenate(pool.map(_pair_values, zip(cuts, cuts[1:])))
-    finally:
-        _WORKER_STATE.clear()
-    tables = []
-    for column in range(len(kept)):
-        values = np.zeros((n, n))
-        values[rows, cols] = flat[:, column]
-        tables.append(values)
-    return tables
-
-
-def _feature_tables(ctx, packs, depth, kept) -> list[np.ndarray]:
-    """The kept depths' upper triangles from stacked feature vectors, a row
-    at a time, in this process: each entry is the sum pair_value forms for
-    its pair, so it has the same bits."""
-    features = np.stack([pack.features(depth) for pack in packs], axis=1)  # (H, n, f)
-    n = features.shape[1]
-    tables = [np.zeros((n, n)) for _ in kept]
-    for i in range(n):
-        totals = ctx.feature_totals(features[:, i], features[:, i:])
-        for table, h in zip(tables, kept):
-            table[i, i:] = totals[h - 1]
-    return tables
+def _row_spans(n: int, count: int) -> list[tuple[int, int]]:
+    """`count` contiguous row spans of about equal upper-triangle entry
+    counts: each cut is the row that holds an equal share's first entry."""
+    rows = np.arange(n + 1)
+    starts = rows * n - rows * (rows - 1) // 2  # first entry of each row
+    cuts = np.searchsorted(starts, starts[n] * np.arange(count + 1) // count, side="right") - 1
+    return list(zip(cuts.tolist(), cuts[1:].tolist()))
 
 
 def compute_gram(
@@ -208,14 +161,15 @@ def compute_gram(
 ) -> GramMatrix | dict[int, GramMatrix]:
     """Full kernel matrix of a dataset (ranges must be computed already).
 
-    On the feature map (see stars.py) every entry is a weighted inner
-    product of two graphs' feature vectors, formed in this process and
-    `threads` is not used. Otherwise workers split the upper triangle into
-    contiguous blocks, one worker per entry. Either engine fills the upper
-    triangle, mirrored once, so results do not depend on the worker count.
-    Given `depths`, integers in 1..plan.max_depth, one pass returns {h: the
-    depth-h Gram} for each of them: every pair's depth loop forms the
-    running total of each shallower depth on its way.
+    The upper triangle is cut into threads * 4 contiguous row spans of about
+    equal entry counts. KernelContext.gram_rows fills each span, in this
+    process when threads is 1 and across a fork pool of `threads` workers
+    otherwise, and each span is written into both triangles as it arrives.
+    Each entry is one pair's value, formed the same way whoever forms it, so
+    results do not depend on the worker count. Given `depths`, integers in
+    1..plan.max_depth, one pass returns {h: the depth-h Gram} for each of
+    them: every pair's depth loop forms the running total of each shallower
+    depth on its way.
     """
     if ds.num_graphs == 0:
         raise DatasetError("no graphs")
@@ -238,28 +192,30 @@ def compute_gram(
         )
     kept = tuple(int(h) for h in kept)
     ctx = KernelContext(ds.schema, params, tau=tau, edge_elements=edge_elements)
-    packs = []
     for index, g in enumerate(ds.graphs):
         try:
-            pack = ctx.register(g)
-            if ctx.feature_weights is not None:
-                pack.features(plan.max_depth)
-            else:
-                pack.levels(plan.max_depth)  # grow every level before forking
+            ctx.register(g).warm(plan.max_depth)  # before any fork
         except MemoryError as exc:
             raise GramComputeError(f"resource exhaustion while packing graph {index}") from exc
-        packs.append(pack)
-
+    if threads > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        warnings.warn("fork start method unavailable; computing on one thread")
+        threads = 1
+    n = ds.num_graphs
+    spans = _row_spans(n, threads * 4)
+    _WORKER_STATE["job"] = (ctx, ds.graphs, plan.max_depth, [h - 1 for h in kept])
     # each n x n float64 table takes 8 n^2 bytes: 20 GB at n = 50,000
     try:
-        if ctx.feature_weights is not None:
-            tables = _feature_tables(ctx, packs, plan.max_depth, kept)
-        else:
-            tables = _indicator_tables(ctx, ds.graphs, plan.max_depth, kept, int(threads))
+        tables = [np.empty((n, n)) for _ in kept]
+        pool = multiprocessing.get_context("fork").Pool(int(threads)) if threads > 1 else None
+        with pool or nullcontext():
+            # each span goes into both triangles of every table as it arrives
+            for (lo, _), rows in zip(spans, (pool.imap if pool else map)(_span_rows, spans)):
+                for i, totals in enumerate(rows, lo):
+                    for table, values in zip(tables, totals):
+                        table[i, i:] = table[i:, i] = values
+                del rows  # before the next span is formed
         grams = {}
-        lower = np.tril_indices(ds.num_graphs, -1)
-        for values, h in zip(tables, kept):
-            values[lower] = values.T[lower]
+        for h in kept:
             meta = GramMeta(
                 dataset_digest=ds.digest,
                 gamma=params.gamma,
@@ -268,12 +224,14 @@ def compute_gram(
                 normalize=False,
                 edge_elements=edge_elements,
             )
-            gram = GramMatrix(values=values, meta=meta)
+            gram = GramMatrix(values=tables.pop(0), meta=meta)  # frees the raw table once copied
             grams[h] = normalize_gram(gram) if normalize else gram
     except MemoryError as exc:
         raise GramComputeError(
-            f"resource exhaustion while forming the Gram tables of n={ds.num_graphs} graphs"
+            f"resource exhaustion while forming the Gram tables of n={n} graphs"
         ) from exc
+    finally:
+        _WORKER_STATE.clear()
     return grams if depths is not None else grams[plan.max_depth]
 
 

@@ -153,7 +153,8 @@ class AttributedGraph:
     adjacency[v] is the sorted, duplicate-free tuple of neighbors of v.
     edge_attrs, when present, is sorted by canonical edge key and covers
     exactly the edge set implied by the adjacency. Instances are validated
-    on construction and never mutated afterwards.
+    on construction, which also sets `edges`, the sorted canonical edge
+    list, and are never mutated afterwards.
     """
 
     graph_id: int
@@ -168,7 +169,7 @@ class AttributedGraph:
             raise SchemaError(
                 f"graph {self.graph_id}: {len(self.node_attrs)} attribute vectors for {n} nodes"
             )
-        seen = set()
+        lower, upper = [], []  # each pair (v, u), v < u, as listed from v and from u
         for v, nbrs in enumerate(self.adjacency):
             prev = -1
             for u in nbrs:
@@ -181,16 +182,22 @@ class AttributedGraph:
                         f"graph {self.graph_id}: adjacency[{v}] not sorted or has duplicates"
                     )
                 prev = u
-                seen.add((v, u))
-        for v, u in seen:
-            if (u, v) not in seen:
-                raise SchemaError(
-                    f"graph {self.graph_id}: asymmetric adjacency, {u} missing neighbor {v}"
-                )
+                if v < u:
+                    lower.append((v, u))
+                else:
+                    upper.append((u, v))
+        upper.sort()  # lower is sorted already
+        if lower != upper:
+            listed = set(lower)
+            v, u = min(listed.symmetric_difference(upper))  # the first in edge order
+            node, neighbor = (u, v) if (v, u) in listed else (v, u)
+            raise SchemaError(
+                f"graph {self.graph_id}: asymmetric adjacency, {node} missing neighbor {neighbor}"
+            )
+        object.__setattr__(self, "edges", tuple(lower))
         if self.edge_attrs is not None:
             keys = tuple(k for k, _ in self.edge_attrs)
-            expected = self.edges
-            if keys != expected:
+            if keys != self.edges:
                 raise SchemaError(
                     f"graph {self.graph_id}: edge attributes do not cover the edge set exactly"
                 )
@@ -198,13 +205,6 @@ class AttributedGraph:
     @property
     def num_nodes(self) -> int:
         return len(self.adjacency)
-
-    @cached_property
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Sorted canonical edge list derived from the adjacency."""
-        return tuple(
-            (v, u) for v in range(len(self.adjacency)) for u in self.adjacency[v] if v < u
-        )
 
     @property
     def num_edges(self) -> int:

@@ -52,10 +52,11 @@ are checked against.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, SchemaError, is_real
+from .errors import ConfigError, GramComputeError, SchemaError, is_real
 from .graph import CATEGORICAL, AttributedGraph, AttributeSchema
 from .similarity import PackedAttrs, SimilarityParams, similarity_matrix
 
@@ -200,6 +201,14 @@ class _GraphPack:
             del self._balls[1:], self._eincs[:]
         return self._features[:depth]
 
+    def warm(self, depth: int) -> None:
+        """Build what the pack's engine reads up to `depth`: the feature
+        vectors on the feature map, else every level."""
+        if self._node_hot is not None:
+            self.features(depth)
+        else:
+            self.levels(depth)
+
 
 class KernelContext:
     """Shared state for kernel evaluations between graphs of one schema."""
@@ -304,6 +313,35 @@ class KernelContext:
             total += float(m.sum())
             totals.append(total)
         return totals + [total] * (max_depth - len(totals))
+
+    def gram_rows(self, graphs: list, lo: int, hi: int, depth: int) -> Iterator[np.ndarray]:
+        """Yield rows lo..hi-1 of the upper triangle of the Gram over `graphs`.
+
+        Row i is a (depth, n - i) array of running totals over depths:
+        column k holds pair_value(graphs[i], graphs[i + k], depth). The
+        feature map forms a row with one feature_totals call, over feature
+        vectors stacked once per call. The indicator engine calls pair_value
+        once per entry and names the pair of any failure.
+        """
+        if self.feature_weights is not None:
+            stacked = np.stack([self.register(g).features(depth) for g in graphs], axis=1)
+            yield from (self.feature_totals(stacked[:, i], stacked[:, i:]) for i in range(lo, hi))
+            return
+        for i in range(lo, hi):
+            values = []
+            for j in range(i, len(graphs)):
+                try:
+                    values.append(self.pair_value(graphs[i], graphs[j], depth))
+                except (MemoryError, FloatingPointError) as exc:
+                    numeric = isinstance(exc, FloatingPointError)
+                    cause = "numeric failure" if numeric else "resource exhaustion"
+                    raise GramComputeError(f"{cause} while computing pair ({i}, {j})") from exc
+            row = np.array(values).T
+            # a running total that turns non-finite stays so at every deeper depth
+            bad = np.flatnonzero(~np.isfinite(row[-1]))
+            if bad.size:
+                raise GramComputeError(f"non-finite kernel value at pair ({i}, {i + bad[0]})")
+            yield row
 
 
 def graph_kernel_KS(g: AttributedGraph, h: AttributedGraph, ctx: KernelContext) -> float:

@@ -317,6 +317,16 @@ class TestCrossValidate:
             f"{prefix}gamma={g},H=4" for prefix in prefixes for g in ("0.5", "2")
         }
 
+    def test_gammas_alike_under_g_keep_their_own_entries(self):
+        # both print as 1 under :g, so the second is keyed by its repr
+        cfg = CvConfig(folds=2, repeats=1, inner_folds=2, gammas=(1.0, 1.0000001),
+                       depths=(1, 2), normalize_options=(True,), costs=(1.0,))
+        env = cross_validate(noisy_dataset(), cfg).environment
+        assert set(env["gram_psd"]) == {
+            f"gamma={g},H={h}" for g in ("1", "1.0000001") for h in (1, 2)
+        }
+        assert set(env["gram_seconds"]) == {"gamma=1,H=2", "gamma=1.0000001,H=2"}
+
     def test_per_fold_ranges_drop_the_transductive_note(self):
         rng = np.random.default_rng(41)
         schema = synth.mixed_schema(n_cat=1, n_num=1, with_ranges=False)

@@ -125,6 +125,12 @@ PREFIX_SETS = {
     "bench2-H4": (lambda: compute_ranges(synth.benchmark_dataset(seed=7)), 4, 0.0, (1, 2)),
     "large-H3-tau0.6": (large_dataset, 3, 0.6, (1,)),
     "tiny6-H5": (tiny_dataset, 5, 0.0, (1, 3)),
+    # fewer rows than the threads * 4 row spans, so some spans are empty;
+    # bench2 is on the feature map, small on the indicator engine
+    "bench2x1-H3": (lambda: compute_ranges(synth.benchmark_dataset(count=1)), 3, 0.0, (1, 2, 3)),
+    "bench2x5-H3": (lambda: compute_ranges(synth.benchmark_dataset(count=5)), 3, 0.0, (1, 2, 3)),
+    "small1-H3": (lambda: small_dataset(count=1), 3, 0.0, (1, 2, 3)),
+    "small5-H3": (lambda: small_dataset(count=5), 3, 0.0, (1, 2, 3)),
 }
 
 
@@ -304,11 +310,11 @@ class TestComputeGram:
         monkeypatch.setattr("multiprocessing.get_all_start_methods", lambda: ["spawn"])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            # all-categorical at tau = 0: the feature map, which never forks
-            compute_gram(compute_ranges(synth.benchmark_dataset(count=6)), threads=2)
             compute_gram(small_dataset(count=4), threads=1)
-        with pytest.warns(UserWarning, match="fork start method unavailable"):
-            compute_gram(small_dataset(count=4), threads=2)
+        # on either engine: the feature map (all-categorical at tau = 0) forks too
+        for ds in (small_dataset(count=4), compute_ranges(synth.benchmark_dataset(count=6))):
+            with pytest.warns(UserWarning, match="fork start method unavailable"):
+                compute_gram(ds, threads=2)
 
     def test_exhaustion_while_packing_names_the_graph(self, monkeypatch):
         def exhausted(pack, depth):
@@ -332,6 +338,24 @@ class TestComputeGram:
             monkeypatch.setattr(GramMatrix, "__post_init__", exhausted)
         with pytest.raises(GramComputeError, match=f"n={ds.num_graphs} graphs"):
             compute_gram(ds)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("failure", [MemoryError, FloatingPointError, "nan"])
+    def test_pair_failures_name_the_pair(self, monkeypatch, failure, threads):
+        pair_value = KernelContext.pair_value
+        ds = small_dataset(count=4)
+        bad = {ds.graphs[1].graph_id, ds.graphs[2].graph_id}
+
+        def failing(ctx, ga, gb, max_depth):
+            if {ga.graph_id, gb.graph_id} != bad:
+                return pair_value(ctx, ga, gb, max_depth)
+            if failure == "nan":
+                return [1.0] * (max_depth - 1) + [float("nan")]
+            raise failure
+
+        monkeypatch.setattr(KernelContext, "pair_value", failing)
+        with pytest.raises(GramComputeError, match=r"pair \(1, 2\)"):
+            compute_gram(ds, plan=ExpansionPlan(max_depth=2), threads=threads)
 
     def test_feature_map_forms_each_unordered_pair_once(self, monkeypatch):
         columns = []

@@ -1,6 +1,7 @@
 """Graph model construction, validation, and permutation."""
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -87,6 +88,33 @@ class TestConstruction:
                 adjacency=((1,), ()),
                 node_attrs=(AttributeVector((0,)), AttributeVector((0,))),
             )
+
+    @pytest.mark.parametrize(("adjacency", "message"), [
+        (((2, 3), (), (0,), ()), "3 missing neighbor 0"),
+        (((), (), (0,), ()), "0 missing neighbor 2"),
+        (((3,), (), (1,), ()), "3 missing neighbor 0"),
+        (((3,), (2,), (), ()), "3 missing neighbor 0"),
+    ])
+    def test_asymmetry_names_the_first_missing_mirror(self, adjacency, message):
+        with pytest.raises(SchemaError, match=message):
+            AttributedGraph(graph_id=0, adjacency=adjacency,
+                            node_attrs=tuple(AttributeVector((0,)) for _ in adjacency))
+
+    def test_asymmetry_check_matches_the_pair_set(self):
+        rng = np.random.default_rng(5)
+        for _ in range(500):
+            n = int(rng.integers(2, 7))
+            arcs = {(v, u) for v in range(n) for u in range(n) if v != u and rng.random() < 0.4}
+            adjacency = tuple(tuple(sorted(u for w, u in arcs if w == v)) for v in range(n))
+            attrs = tuple(AttributeVector((0,)) for _ in range(n))
+            if all((u, v) in arcs for v, u in arcs):
+                AttributedGraph(graph_id=0, adjacency=adjacency, node_attrs=attrs)
+                continue
+            with pytest.raises(SchemaError) as err:
+                AttributedGraph(graph_id=0, adjacency=adjacency, node_attrs=attrs)
+            found = re.search(r"(\d+) missing neighbor (\d+)", str(err.value))
+            node, neighbor = map(int, found.groups())
+            assert (neighbor, node) in arcs and (node, neighbor) not in arcs
 
     def test_unsorted_adjacency_rejected(self):
         with pytest.raises(SchemaError):
