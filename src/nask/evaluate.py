@@ -4,18 +4,19 @@ The outer loop measures accuracy on held-out folds; hyperparameters
 (gamma, depth, normalization, C) are chosen per outer fold by an inner
 cross-validation on the training portion only. A run takes three steps:
 
-1. A kernel table maps each grid (gamma, depth, normalize) to its matrix,
-   one kernel pass per gamma yielding every grid depth, with a PSD check
-   of each raw Gram. It is built once on the full dataset and sub-indexed
+1. A kernel table maps each grid (gamma, depth) to its raw Gram, one
+   kernel pass per gamma yielding every grid depth, with a PSD check of
+   each Gram. It is built once on the full dataset and sub-indexed
    per fold: kernel values between two graphs do not depend on the split,
    only the dataset-wide attribute ranges do, and that transductive caveat
    is stamped into every report. A per-fold range mode builds a table per
    fold from training-graph ranges only, for auditing the effect.
-2. A cost sweep slices one table entry's train and held-out blocks once
-   and fits the costs on them in ascending order, reusing each fit that
-   never touched the box for the larger costs. `environment` counts the
-   fresh fits, the reused ones, the SMO updates, and the machines that hit
-   their update cap (`convergence_warnings`).
+2. A cost sweep slices one table entry's train and held-out blocks once,
+   cosine-normalizing them when the grid point asks for it, and fits the
+   costs on them in ascending order, reusing each fit that never touched
+   the box for the larger costs. `environment` counts the fresh fits, the
+   reused ones, the SMO updates, and the machines that hit their update
+   cap (`convergence_warnings`).
 3. Selection averages each grid point's inner accuracies and picks the
    first maximum in the canonical grid order.
 """
@@ -35,7 +36,7 @@ import numpy as np
 from .datasets import Dataset, compute_ranges
 from .errors import ConfigError, is_integer, is_real
 from .expansion import ExpansionPlan
-from .gram import check_psd, compute_gram, normalize_gram
+from .gram import _cosine, _positive_diagonal, check_psd, compute_gram
 from .similarity import SimilarityParams
 from .stars import EDGE_MODES, check_tau
 from .svm import predict, train_ovr
@@ -213,12 +214,14 @@ def stratified_folds(labels, k: int, seed) -> list[np.ndarray]:
 
 
 def _kernel_table(ds: Dataset, cfg: CvConfig, prefix: str, seconds: dict, psd: dict) -> dict:
-    """Every grid (gamma, depth, normalize) matrix of `ds`, one kernel pass per gamma.
+    """The raw Gram values of every grid (gamma, depth) of `ds`, one pass per gamma.
 
     A pass at the deepest grid depth yields the Gram of each grid depth, and
-    every raw Gram gets a spectral PSD verdict. `psd` gains one entry per
-    Gram, keyed `{prefix}gamma=G,H=D`; `seconds` one per pass, keyed by its
-    deepest depth. G is gamma as `:g` prints it, or its repr if that rounds.
+    every Gram gets a spectral PSD verdict. When the grid normalizes, each
+    Gram's diagonal is checked here, so a nonpositive entry fails before any
+    fold. `psd` gains one entry per Gram, keyed `{prefix}gamma=G,H=D`;
+    `seconds` one per pass, keyed by its deepest depth. G is gamma as `:g`
+    prints it, or its repr if that rounds.
     """
     depths = tuple(int(h) for h in cfg.depths)
     deepest = max(depths)
@@ -241,14 +244,17 @@ def _kernel_table(ds: Dataset, cfg: CvConfig, prefix: str, seconds: dict, psd: d
             psd[f"{prefix}gamma={label},H={depth}"] = {
                 "psd": verdict.psd, "min_eig": verdict.min_eig, "max_eig": verdict.max_eig,
             }
-            for normalize in cfg.normalize_options:
-                table[gamma, depth, normalize] = (normalize_gram(gram) if normalize else gram).values
+            if any(cfg.normalize_options):
+                _positive_diagonal(gram.values)
+            table[gamma, depth] = gram.values
     return table
 
 
-def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict) -> list:
+def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict, normalize=False) -> list:
     """Held-out accuracy of one fit per cost, in `costs` order, on blocks
-    sliced once.
+    sliced once from the raw Gram `values`. With `normalize`, both blocks
+    are cosine-normalized by the Gram's diagonal: the same bits as slicing
+    normalize_gram's values.
 
     Costs are walked in ascending order. A fit whose every machine peaked
     strictly below its own C never touched the box, so it is the fit at any
@@ -259,6 +265,10 @@ def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict) -> lis
     """
     train_block = values[np.ix_(train_idx, train_idx)]
     eval_block = values[np.ix_(eval_idx, train_idx)]
+    if normalize:
+        diag = values.diagonal()
+        train_block = _cosine(train_block, diag[train_idx], diag[train_idx])
+        eval_block = _cosine(eval_block, diag[eval_idx], diag[train_idx])
     train_labels, eval_labels = labels[train_idx], labels[eval_idx]
     accuracies = [0.0] * len(costs)
     model = None
@@ -339,12 +349,14 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                     val_idx = train_idx[positions]
                     assert not np.intersect1d(val_idx, test_idx).size
                     inner_train = np.setdiff1d(train_idx, val_idx)
-                    for key, values in table.items():
-                        accuracies = _cost_sweep(
-                            values, labels, inner_train, val_idx, cfg.costs, counts
-                        )
-                        for cost, accuracy in zip(cfg.costs, accuracies):
-                            totals[(*key, cost)] += accuracy
+                    for (gamma, depth), values in table.items():
+                        for normalize in cfg.normalize_options:
+                            accuracies = _cost_sweep(
+                                values, labels, inner_train, val_idx, cfg.costs, counts,
+                                normalize,
+                            )
+                            for cost, accuracy in zip(cfg.costs, accuracies):
+                                totals[gamma, depth, normalize, cost] += accuracy
                 means = {config: totals[config] / len(inner) for config in grid}
                 for config in grid:
                     inner_sums[config] += means[config]
@@ -352,7 +364,7 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                 best_inner = means[best]
             gamma, depth, normalize, cost = best
             (accuracy,) = _cost_sweep(
-                table[gamma, depth, normalize], labels, train_idx, test_idx, (cost,), counts
+                table[gamma, depth], labels, train_idx, test_idx, (cost,), counts, normalize
             )
             pick_counts[best] += 1
             outer_accuracies.append(accuracy)

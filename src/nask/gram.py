@@ -235,15 +235,37 @@ def compute_gram(
     return grams if depths is not None else grams[plan.max_depth]
 
 
-def normalize_gram(gram: GramMatrix) -> GramMatrix:
-    """Cosine-normalize so every diagonal entry is 1 (PSD preserved)."""
-    diag = gram.values.diagonal()
+def _positive_diagonal(values: np.ndarray) -> np.ndarray:
+    """The diagonal that cosine normalization divides by; a nonpositive
+    entry raises InvalidGramError naming its graph index."""
+    diag = values.diagonal()
     bad = np.flatnonzero(diag <= 0)
     if bad.size:
         raise InvalidGramError(
             f"cannot normalize: nonpositive diagonal at graph index {int(bad[0])}"
         )
-    values = gram.values / np.sqrt(np.outer(diag, diag))
+    return diag
+
+
+def _cosine(block: np.ndarray, row_diag: np.ndarray, col_diag: np.ndarray) -> np.ndarray:
+    """`block[i, j] / sqrt(row_diag[i] * col_diag[j])`, formed in one new buffer.
+
+    Each entry is the same three roundings whatever the block, so a block
+    sliced from a Gram and its diagonal normalizes to the same slice of
+    normalize_gram's values, bit for bit.
+    """
+    out = np.multiply.outer(row_diag, col_diag)
+    np.sqrt(out, out=out)
+    return np.divide(block, out, out=out)
+
+
+def normalize_gram(gram: GramMatrix) -> GramMatrix:
+    """Cosine-normalize so every diagonal entry is 1 (PSD preserved).
+
+    Raises InvalidGramError on a nonpositive diagonal entry.
+    """
+    diag = _positive_diagonal(gram.values)
+    values = _cosine(gram.values, diag, diag)
     return GramMatrix(values=values, meta=replace(gram.meta, normalize=True))
 
 
@@ -279,8 +301,7 @@ def export_gram(gram: GramMatrix, path) -> Path:
     path = Path(path)
     with path.open("w") as out:  # a row at a time: no copy of the whole text
         out.write(f"{_HEADER}\n{json.dumps(gram.meta.to_obj())}\n{gram.n}\n")
-        for row in gram.values:
-            out.write(" ".join("%.17g" % value for value in row) + "\n")
+        np.savetxt(out, gram.values, fmt="%.17g")
     return path
 
 

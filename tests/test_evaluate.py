@@ -10,15 +10,17 @@ import pytest
 import nask.datasets
 import nask.evaluate
 from nask.datasets import canonical_digest, compute_ranges
-from nask.errors import ConfigError
+from nask.errors import ConfigError, InvalidGramError
 from nask.evaluate import (
     TRANSDUCTIVE_NOTE,
     CvConfig,
     CvReport,
     _cost_sweep,
+    _kernel_table,
     cross_validate,
     stratified_folds,
 )
+from nask.graph import AttributedGraph
 from nask.gram import compute_gram
 from nask.svm import predict, train_ovr
 
@@ -387,6 +389,41 @@ class TestCrossValidate:
         assert calls == ["noisy3"]
         assert report.dataset_digest == canonical_digest(ds)
 
+    @pytest.mark.parametrize("range_mode", ["full", "per-fold"])
+    @pytest.mark.parametrize("normalize_options", [(True,), (False, True)])
+    def test_empty_graph_fails_before_any_fold_when_normalizing(
+        self, monkeypatch, range_mode, normalize_options
+    ):
+        fits = []
+        monkeypatch.setattr(nask.evaluate, "train_ovr", lambda *args: fits.append(args))
+        ds = empty_graph_dataset()
+        cfg = CvConfig(folds=3, repeats=1, inner_folds=2, gammas=(1.0,), depths=(1, 2),
+                       normalize_options=normalize_options, costs=(1.0,),
+                       range_mode=range_mode)
+        with pytest.raises(InvalidGramError, match="nonpositive diagonal at graph index 0$"):
+            cross_validate(ds, cfg)
+        assert fits == []
+
+    @pytest.mark.parametrize("range_mode", ["full", "per-fold"])
+    def test_empty_graph_runs_on_the_raw_kernel(self, range_mode):
+        cfg = CvConfig(folds=3, repeats=1, inner_folds=2, gammas=(1.0,), depths=(1, 2),
+                       normalize_options=(False,), costs=(1.0,), range_mode=range_mode)
+        report = cross_validate(empty_graph_dataset(), cfg)
+        assert len(report.outer_accuracies) == 3
+
+    def test_normalized_blocks_are_sliced_never_whole(self, monkeypatch):
+        shapes = []
+        cosine = nask.evaluate._cosine
+
+        def spy(block, row_diag, col_diag):
+            shapes.append(block.shape)
+            return cosine(block, row_diag, col_diag)
+
+        monkeypatch.setattr(nask.evaluate, "_cosine", spy)
+        ds = noisy_dataset()
+        cross_validate(ds, CvConfig(folds=3, repeats=1, inner_folds=2, **SMALL_GRID))
+        assert shapes and all(rows < ds.num_graphs for rows, _ in shapes)
+
     def test_too_many_folds_rejected(self):
         ds = easy_dataset(count=6)
         with pytest.raises(ConfigError, match="folds"):
@@ -402,6 +439,35 @@ class TestCrossValidate:
         ds = synth.dataset_from_graphs(graphs, name="mono", schema=schema, labels=[0] * 6)
         with pytest.raises(ConfigError, match="classes"):
             cross_validate(ds, CvConfig(folds=2, repeats=1, **SINGLE_GRID))
+
+
+def empty_graph_dataset():
+    """Thirty bench2 graphs, graph 0 replaced by a graph with no nodes:
+    its raw Gram row and diagonal are 0."""
+    ds = synth.benchmark_dataset(count=30)
+    first = ds.graphs[0]
+    empty = AttributedGraph(graph_id=0, adjacency=(), node_attrs=(), edge_attrs=(),
+                            label=first.label)
+    return synth.dataset_from_graphs((empty, *ds.graphs[1:]), "empty0", ds.schema)
+
+
+class TestKernelTable:
+    @pytest.mark.parametrize("normalize_options", [(True, False), (False,)])
+    def test_one_raw_gram_per_gamma_and_depth(self, monkeypatch, normalize_options):
+        returned = []
+
+        def spied(*args, **kwargs):
+            returned.append(compute_gram(*args, **kwargs))
+            return returned[-1]
+
+        monkeypatch.setattr(nask.evaluate, "compute_gram", spied)
+        cfg = CvConfig(gammas=(0.5, 2.0), depths=(1, 3), normalize_options=normalize_options)
+        table = _kernel_table(compute_ranges(noisy_dataset()), cfg, "", {}, {})
+        assert list(table) == [(0.5, 1), (0.5, 3), (2.0, 1), (2.0, 3)]
+        for (gamma, depth), values in table.items():
+            gram = returned[cfg.gammas.index(gamma)][depth]
+            assert values is gram.values
+            assert not gram.meta.normalize
 
 
 def sweep_problem(seed, kind, classes, n=30, held_out=8):
@@ -496,6 +562,22 @@ class TestCostSweep:
                         fired.append((kind, classes, max_passes))
         kinds, class_counts, caps = (set(column) for column in zip(*fired))
         assert (kinds, class_counts, caps) == ({"psd", "rbf", "indefinite"}, {2, 3}, {None, 3})
+
+    @pytest.mark.parametrize("kind", ["psd", "rbf"])
+    def test_a_normalized_sweep_fits_the_normalized_kernel(self, monkeypatch, kind):
+        K, labels, train_idx, eval_idx = sweep_problem(4, kind, 3)
+        d = K.diagonal()
+        cosine = (K / np.sqrt(np.outer(d, d)), labels, train_idx, eval_idx)
+        expected, expected_fits, expected_counts = self.sweep(monkeypatch, cosine, self.COSTS)
+        counts = dict.fromkeys(expected_counts, 0)
+        fresh = {}
+        monkeypatch.setattr(nask.evaluate, "train_ovr", lambda block, block_labels, cost:
+                            fresh.setdefault(cost, train_ovr(block, block_labels, cost)))
+        accuracies = _cost_sweep(K, labels, train_idx, eval_idx, self.COSTS, counts, True)
+        assert accuracies == expected
+        assert counts == expected_counts
+        assert fresh.keys() == expected_fits.keys()
+        assert all(same_machines(fresh[c], expected_fits[c]) for c in fresh)
 
     def test_a_peak_between_two_costs_is_refitted(self, monkeypatch):
         # this fit's peak lies above its own C and below the next one, and

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from nask.expansion import ExpansionPlan, nask_kernel
 from nask.gram import (
     GramMatrix,
     GramMeta,
+    _cosine,
     check_psd,
     compute_gram,
     export_gram,
@@ -68,6 +70,16 @@ PINNED_GRAM_SHA256 = {
     "numedge30-H4": "6cd57921125f58efb357851af6312d4171cb878a70619cb91420240b51706284",
     "numedge30-H4-off": "48e33a76634771c891c6fcac6d990423a19b9256dd2974bceabaa2c2be271e0d",
 }
+
+# the same for normalize_gram(pinned_gram(name)).values
+PINNED_NORMALIZED_SHA256 = {
+    "bench2-H4": "5b10c2bc222e058b2b5a00e2210e4aa0a59085afeb6762fde92d9e8b24d955ed",
+    "wide6-200-H4": "e0894a2cbd5785f0cf11a1706b718d7aab02fd818c79057750d131bf15451c4c",
+}
+
+# SHA-256 of the file export_gram writes for the normalized bench2-H4 Gram,
+# with its version field set to "nask pinned" so a release does not move it
+PINNED_EXPORT_SHA256 = "411d35b261025e36fad51d176b0fa4d4ce444283e301e900042d2f2a500b6d53"
 
 
 def large_dataset():
@@ -440,6 +452,21 @@ class TestNormalize:
         with pytest.raises(InvalidGramError, match="index 1"):
             normalize_gram(gram)
 
+    @pytest.mark.parametrize("name", sorted(PINNED_NORMALIZED_SHA256))
+    def test_values_match_the_pinned_digest(self, name):
+        assert sha256(normalize_gram(pinned_gram(name))) == PINNED_NORMALIZED_SHA256[name]
+
+    def test_a_sliced_block_normalizes_to_the_same_slice(self):
+        gram = pinned_gram("wide6-200-H4")  # 18 numerical dimensions
+        whole = normalize_gram(gram).values
+        diag = gram.values.diagonal()
+        rng = np.random.default_rng(23)
+        for trial in range(50):
+            rows = rng.choice(gram.n, size=rng.integers(1, gram.n + 1), replace=False)
+            cols = rows if trial % 2 else rng.choice(gram.n, size=rng.integers(1, gram.n + 1))
+            block = _cosine(gram.values[np.ix_(rows, cols)], diag[rows], diag[cols])
+            assert block.tobytes() == whole[np.ix_(rows, cols)].tobytes()
+
     def test_normalization_preserves_psd(self):
         ds = small_dataset(seed=39, count=8)
         normalized = compute_gram(ds, normalize=True)
@@ -488,6 +515,12 @@ class TestFileFormat:
         back = import_gram(path)
         assert np.array_equal(back.values, gram.values)
         assert back.meta == gram.meta
+
+    def test_file_matches_the_pinned_digest(self, tmp_path):
+        gram = normalize_gram(pinned_gram("bench2-H4"))
+        gram = GramMatrix(values=gram.values, meta=replace(gram.meta, version="nask pinned"))
+        path = export_gram(gram, tmp_path / "g.gram")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == PINNED_EXPORT_SHA256
 
     def test_header_and_meta_layout(self, tmp_path):
         ds = small_dataset(count=2)
