@@ -306,7 +306,12 @@ def export_gram(gram: GramMatrix, path) -> Path:
 
 
 def import_gram(path) -> GramMatrix:
-    """Parse a Gram file, checking version, shape, and symmetry."""
+    """Parse a Gram file, checking version, shape, and symmetry.
+
+    The rows are parsed by one np.loadtxt call. Only when that parse fails,
+    or the table is not n x n or holds a non-finite value, are the rows
+    scanned one by one, to name the first bad line.
+    """
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
@@ -340,20 +345,32 @@ def import_gram(path) -> GramMatrix:
         raise GramFormatError(
             f"{path.name}: dimension mismatch, expected {n} rows, found {len(rows)}"
         )
+    try:
+        # np.loadtxt skips blank lines and reads a subset of what `float` reads
+        values = np.loadtxt(rows, ndmin=2, comments=None)
+    except ValueError:
+        values = None
+    if values is None or values.shape != (n, n) or not np.isfinite(values).all():
+        values = _scan_rows(path.name, rows, n)
+    if not np.array_equal(values, values.T):
+        raise GramFormatError(f"{path.name}: matrix is not symmetric as stored")
+    return GramMatrix(values=values, meta=meta)
+
+
+def _scan_rows(name: str, rows: list[str], n: int) -> np.ndarray:
+    """The n x n values of a Gram file's rows, read one line at a time with
+    `float`; raises GramFormatError at the first line with the wrong field
+    count, a field `float` rejects, or a non-finite value."""
     values = np.empty((n, n))
     for r, line in enumerate(rows):
         lineno = r + 4
         fields = line.split()
         if len(fields) != n:
-            raise GramFormatError(
-                f"{path.name}:{lineno}: expected {n} values, found {len(fields)}"
-            )
+            raise GramFormatError(f"{name}:{lineno}: expected {n} values, found {len(fields)}")
         try:
             values[r] = [float(f) for f in fields]
         except ValueError as exc:
-            raise GramFormatError(f"{path.name}:{lineno}: parse failure: {exc}") from exc
+            raise GramFormatError(f"{name}:{lineno}: parse failure: {exc}") from exc
         if not np.all(np.isfinite(values[r])):
-            raise GramFormatError(f"{path.name}:{lineno}: non-finite value")
-    if not np.array_equal(values, values.T):
-        raise GramFormatError(f"{path.name}: matrix is not symmetric as stored")
-    return GramMatrix(values=values, meta=meta)
+            raise GramFormatError(f"{name}:{lineno}: non-finite value")
+    return values

@@ -42,16 +42,20 @@ class SimilarityParams:
 class PackedAttrs:
     """Dimension-major arrays for one graph's node or edge attribute vectors.
 
-    Splits dimensions into categorical ids (`cat`), range-scaled numerical
-    values (`num_scaled`) and zero-range numerical values (`num_exact`).
-    Each is a C-contiguous d x n array whose row k holds that kind's k-th
-    dimension, in schema order, for every element, so all-pairs similarity
-    works on whole n_a x n_b planes, one dimension at a time. The values
-    are checked against the dimensions first, column by column; errors
-    name the first bad vector as `{where} {index}`.
+    Splits dimensions into the ones compared by equality (`match`) and
+    range-scaled numerical values (`num_scaled`). Each is a C-contiguous
+    d x n array whose row k holds that kind's k-th dimension, in schema
+    order, for every element, so all-pairs similarity works on whole
+    n_a x n_b planes. `match` holds int64 rows: the categorical ids
+    (`cat`, its first rows), then the bits of the zero-range values with
+    -0.0 made 0.0, so two of them are equal iff their bits are.
+    `kind_widths` counts the categorical, zero-range and range-scaled
+    dimensions. The values are checked against the dimensions first,
+    column by column; errors name the first bad vector as
+    `{where} {index}`.
     """
 
-    __slots__ = ("count", "dim_count", "cat", "num_scaled", "num_exact")
+    __slots__ = ("count", "dim_count", "kind_widths", "cat", "num_scaled", "match")
 
     def __init__(self, dims: tuple[DimensionSpec, ...], vectors, where: str = "element"):
         vectors = list(vectors)
@@ -71,15 +75,13 @@ class PackedAttrs:
             else:
                 scaled_rows.append(row)
                 ranges.append(width)
-        self.cat = _rows(cat_rows, np.int64, self.count)
-        self.num_exact = _rows(exact_rows, np.float64, self.count)
+        self.kind_widths = (len(cat_rows), len(exact_rows), len(scaled_rows))
+        exact = _rows(exact_rows, np.float64, self.count) + 0.0  # -0.0 + 0.0 is 0.0
+        self.match = np.concatenate([_rows(cat_rows, np.int64, self.count),
+                                     exact.view(np.int64)])
+        self.cat = self.match[:len(cat_rows)]
         self.num_scaled = _rows(scaled_rows, np.float64, self.count)
         self.num_scaled /= np.array(ranges).reshape(-1, 1)
-
-    @property
-    def kind_widths(self) -> tuple[int, int, int]:
-        """Dimension counts per kind: categorical, zero-range, range-scaled."""
-        return self.cat.shape[0], self.num_exact.shape[0], self.num_scaled.shape[0]
 
 
 def _rows(rows: list, dtype, count: int) -> np.ndarray:
@@ -123,13 +125,12 @@ def similarity_matrix(a: PackedAttrs, b: PackedAttrs, p: SimilarityParams) -> np
     n_cat, n_exact, _ = a.kind_widths
     if n_cat or n_exact:
         size = (n_cat + 1) * (n_exact + 1)  # of the table; the dtype holds it
-        index = np.zeros((a.count, b.count), np.min_scalar_type(size))
-        for x, y in zip(a.cat, b.cat):
-            index += x[:, None] == y
-        if n_exact:
-            index *= n_exact + 1
-            for x, y in zip(a.num_exact, b.num_exact):
-                index += x[:, None] == y
+        dtype = np.min_scalar_type(size)
+        eq = np.empty((n_cat + n_exact, a.count, b.count), dtype)
+        np.equal(a.match[:, :, None], b.match[:, None, :], out=eq)
+        if n_cat and n_exact:
+            eq[:n_cat] *= n_exact + 1
+        index = np.add.reduce(eq, axis=0, dtype=dtype)
         floor = math.exp(-p.gamma)  # transformed value of an exact mismatch
         acc += _match_table(n_cat, n_exact, floor)[index]
     acc /= a.dim_count

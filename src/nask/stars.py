@@ -34,6 +34,17 @@ choose:
   integers), by the same factorization, so no edge similarity matrix is
   formed. Otherwise (a numerical edge dimension) it is E_a P_e E_b^T over
   the edge indicators and the edge similarity matrix.
+  The engine contracts a block of depths per product rather than one
+  depth at a time: it stacks the block's levels of each graph, widened to
+  float64 once, into k x n x n arrays, forms every depth's star-pair table
+  with one batched matmul chain, sums each table with one reduction and
+  takes the running totals with one cumulative sum. A block is bounded by
+  bytes, BLOCK_BYTES over the 8 (n_a + n_b)^2 bytes of a depth's widened
+  balls and node products, not by a depth count: graphs of a few dozen
+  nodes take every depth in one block, graphs of a few hundred nodes one
+  depth a block, so large graphs make no larger temporaries than a depth
+  loop would. Each depth's table is the same BLAS products and the same
+  pairwise sum whatever the block, so the bound moves no bit.
 
 Packs cache every 0/1 indicator (the balls B_h, and E_h on numerical-edge
 schemas) as bool, one byte an entry, and widen it to float64 explicitly at
@@ -65,6 +76,10 @@ EDGE_MODES = ("auto", "on", "off")
 # with more symbols stay on the indicator engine, whose memory does not
 # grow with the symbol count.
 MAX_FEATURES = 1024
+# Most bytes the indicator engine's products over one block of depths may
+# take: on graphs of a few dozen nodes every depth fits in one block, and
+# graphs of a few hundred nodes take one depth a block.
+BLOCK_BYTES = 256 * 1024
 
 
 def check_tau(tau) -> float:
@@ -103,7 +118,7 @@ class _GraphPack:
     balls[h-1][v, u] is True iff u lies within h hops of v; depth 1 is
     I + A and each deeper ball is the previous one times it. Balls and E_h
     are stored as bool, 1 byte an entry where float64 takes 8, and widened
-    to float64 by an explicit astype at each product: the pinned Gram
+    to float64 explicitly at each product: the pinned Gram
     digests hold the float64 BLAS sums, which a bool operand would not
     take. E_h is kept C-ordered, since the widened copy keeps its layout
     and the layout sets the bits of the edge products. No incidence matrix
@@ -300,19 +315,26 @@ class KernelContext:
         # every similarity is >= 0, so tau == 0 prunes nothing
         weights = p_nodes if self.tau == 0.0 else np.where(p_nodes >= self.tau, p_nodes, 0.0)
         (balls_a, rows_a), (balls_b, rows_b) = pa.levels(max_depth), pb.levels(max_depth)
-        totals = []
-        total = 0.0
-        for h, (ball_a, ball_b) in enumerate(zip(balls_a, balls_b)):  # min(H, |Va|, |Vb|)
-            m = ball_a.astype(np.float64) @ p_nodes @ ball_b.astype(np.float64).T
+        count = min(len(balls_a), len(balls_b))  # min(H, |Va|, |Vb|)
+        # a depth's widened balls, B_a P and m take 8 (n_a + n_b)^2 bytes
+        step = max(1, BLOCK_BYTES // max(1, 8 * (pa.n + pb.n) ** 2))
+        sums = np.empty(count)
+        for lo in range(0, count, step):
+            hi = min(lo + step, count)
+            # unnamed operands are freed as soon as a product has read them
+            m = (np.array(balls_a[lo:hi], dtype=np.float64) @ p_nodes
+                 @ np.array(balls_b[lo:hi], dtype=np.float64).transpose(0, 2, 1))
             if self.edge_weights is not None:
                 # P_e = Oe_a diag(qe) Oe_b^T, so E_a P_e E_b^T = C_a diag(qe) C_b^T
-                m += (rows_a[h] * self.edge_weights) @ rows_b[h].T
+                m += ((np.array(rows_a[lo:hi]) * self.edge_weights)
+                      @ np.array(rows_b[lo:hi]).transpose(0, 2, 1))
             elif p_edges is not None:
-                m += rows_a[h].astype(np.float64) @ p_edges @ rows_b[h].astype(np.float64).T
+                m += (np.array(rows_a[lo:hi], dtype=np.float64) @ p_edges
+                      @ np.array(rows_b[lo:hi], dtype=np.float64).transpose(0, 2, 1))
             m *= weights
-            total += float(m.sum())
-            totals.append(total)
-        return totals + [total] * (max_depth - len(totals))
+            np.add.reduce(m.reshape(hi - lo, -1), axis=1, out=sums[lo:hi])
+        totals = np.add.accumulate(sums).tolist()  # left to right, as a running total
+        return totals + (totals[-1:] or [0.0]) * (max_depth - count)
 
     def gram_rows(self, graphs: list, lo: int, hi: int, depth: int) -> Iterator[np.ndarray]:
         """Yield rows lo..hi-1 of the upper triangle of the Gram over `graphs`.

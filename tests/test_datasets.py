@@ -389,6 +389,21 @@ class TestRanges:
         ds = load_tu_dataset(basic_dir)
         assert compute_ranges(ds).digest == ds.digest
 
+    def test_ranges_keep_the_first_of_equal_ends_and_skip_empty_dimensions(self):
+        schema = synth.mixed_schema(n_cat=0, n_num=2, edge_num=1, with_ranges=False)
+        values = [(2, 5.0), (1.0, 5), (1, 2.5)]
+        graph = AttributedGraph(
+            graph_id=0, adjacency=((), (), ()),
+            node_attrs=tuple(AttributeVector(v) for v in values), edge_attrs=(),
+        )
+        ds = synth.dataset_from_graphs([graph], "ends", schema, labels=[0])
+        schema = compute_ranges(ds).schema
+        (first, second), (edge,) = schema.node_dims, schema.edge_dims
+        assert (first.range_min, first.range_max) == (1.0, 2)
+        assert type(first.range_min) is float and type(second.range_max) is float
+        assert (second.range_min, second.range_max) == (2.5, 5.0)
+        assert edge.range is None
+
 
 class TestValidationReport:
     def test_report_contents(self, basic_dir):

@@ -507,6 +507,15 @@ class TestCheckPsd:
             check_psd(np.eye(3), tol=tol)
 
 
+@pytest.mark.parametrize("block_bytes", [1, 2**40])
+@pytest.mark.parametrize("name", ["wide6-200-H4", "large-H3-tau0.6", "numedge30-H4",
+                                  "numedge30-H4-off"])
+def test_the_depth_block_bound_changes_no_bit(monkeypatch, name, block_bytes):
+    # 1 byte contracts one depth a product, 2**40 every depth at once
+    monkeypatch.setattr(stars, "BLOCK_BYTES", block_bytes)
+    assert sha256(pinned_gram(name)) == PINNED_GRAM_SHA256[name]
+
+
 class TestFileFormat:
     def test_round_trip_is_bit_exact(self, tmp_path):
         ds = small_dataset(seed=40, count=7)
@@ -625,6 +634,18 @@ class TestFileFormat:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(GramFormatError, match="not symmetric"):
             import_gram(path)
+
+    def test_a_value_float_reads_and_loadtxt_does_not_still_imports(self, tmp_path):
+        # the line scan decides every file the one-call parse rejects
+        gram = compute_gram(small_dataset(count=2))
+        path = export_gram(gram, tmp_path / "g.gram")
+        lines = path.read_text().splitlines()
+        fields = lines[3].split()
+        digits = next(i for i in range(len(fields[0]) - 1) if fields[0][i:i + 2].isdigit())
+        fields[0] = fields[0][:digits + 1] + "_" + fields[0][digits + 1:]
+        lines[3] = " ".join(fields)
+        path.write_text("\n".join(lines) + "\n")
+        assert np.array_equal(import_gram(path).values, gram.values)
 
     def test_gram_matrix_requires_exact_symmetry(self):
         ds = small_dataset(count=2)

@@ -281,6 +281,17 @@ class TestPackedPath:
                 for i in range(n_cat + 1) for j in range(n_exact + 1)]
         assert table.tolist() == want
 
+    def test_equality_dimensions_compare_values_not_representations(self):
+        # zero-range values are matched by their bits with -0.0 made 0.0,
+        # categorical ids as int64, so no two distinct ids collide
+        zero = DimensionSpec("z", "numerical", range_min=0.0, range_max=0.0)
+        assert one(zero, -0.0, 0.0) == 1.0
+        assert one(ZERO, 5, 5.0) == 1.0
+        assert one(ZERO, 5.0, np.nextafter(5.0, 6.0)) == EXP_MINUS_1
+        ids = DimensionSpec("c", "categorical")
+        assert one(ids, 2**53, 2**53 + 1) == EXP_MINUS_1
+        assert one(ids, -(2**63), -(2**63)) == 1.0
+
     def test_similarity_matrix_is_psd_when_ranges_cover_values(self):
         # one element set against itself: the kernel matrix of the averaged
         # per-dimension transforms must be PSD when no value leaves its range
