@@ -17,6 +17,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -391,23 +392,14 @@ def compute_ranges(ds: Dataset, graph_indices=None) -> Dataset:
     graphs = ds.graphs if graph_indices is None else [ds.graphs[i] for i in graph_indices]
 
     def ranged(dims: tuple[DimensionSpec, ...], vectors_of) -> tuple[DimensionSpec, ...]:
-        out = []
-        for k, dim in enumerate(dims):
-            if dim.kind == CATEGORICAL:
-                out.append(dim)
-                continue
-            low = high = None
-            for g in graphs:
-                for vec in vectors_of(g):
-                    value = vec.values[k]
-                    if low is None or value < low:
-                        low = value
-                    if high is None or value > high:
-                        high = value
+        numerical = [k for k, dim in enumerate(dims) if dim.kind != CATEGORICAL]
+        rows = [vec.values for g in graphs for vec in vectors_of(g)] if numerical else []
+        out = list(dims)
+        for k, (low, high) in zip(numerical, _column_ends(rows, len(dims), numerical)):
             if low is None:
-                out.append(DimensionSpec(dim.name, NUMERICAL))
+                out[k] = DimensionSpec(dims[k].name, NUMERICAL)
             else:
-                out.append(DimensionSpec(dim.name, NUMERICAL, range_min=low, range_max=high))
+                out[k] = DimensionSpec(dims[k].name, NUMERICAL, range_min=low, range_max=high)
         return tuple(out)
 
     schema = AttributeSchema(
@@ -427,6 +419,39 @@ def compute_ranges(ds: Dataset, graph_indices=None) -> Dataset:
     if "digest" in vars(ds):  # the digest ignores ranges; keep one, never compute one
         ranged_ds.__dict__["digest"] = ds.digest
     return ranged_ds
+
+
+def _column_ends(rows: list, width: int, columns: list[int]) -> list[tuple]:
+    """The builtin min and max of each listed column of `rows`, or
+    (None, None) for each when there are no rows.
+
+    One numpy reduction per end finds it as a float64 over rows of
+    `width` real values. Rounding to float keeps order, so the end is among
+    the values that round to it, and the builtins compare only those, in
+    row order: the first of equal values, as its Python object. Ragged
+    rows, a value float() refuses, or a NaN send the builtins over the
+    whole column instead.
+    """
+    if not rows:
+        return [(None, None)] * len(columns)
+    table = None
+    if set(map(len, rows)) == {width}:
+        try:
+            table = np.fromiter(chain.from_iterable(rows), np.float64, len(rows) * width)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    if table is not None:
+        table = table.reshape(len(rows), width)[:, columns]
+        lows, highs = table.min(axis=0), table.max(axis=0)
+    ends = []
+    for j, k in enumerate(columns):
+        if table is not None and not math.isnan(lows[j]):  # a NaN makes both ends NaN
+            ends.append((min(rows[i][k] for i in np.flatnonzero(table[:, j] == lows[j])),
+                         max(rows[i][k] for i in np.flatnonzero(table[:, j] == highs[j]))))
+        else:
+            column = [row[k] for row in rows]
+            ends.append((min(column), max(column)))
+    return ends
 
 
 def validate_dataset(ds: Dataset) -> dict:

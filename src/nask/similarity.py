@@ -47,15 +47,15 @@ class PackedAttrs:
     d x n array whose row k holds that kind's k-th dimension, in schema
     order, for every element, so all-pairs similarity works on whole
     n_a x n_b planes. `match` holds int64 rows: the categorical ids
-    (`cat`, its first rows), then the bits of the zero-range values with
-    -0.0 made 0.0, so two of them are equal iff their bits are.
+    first, then the bits of the zero-range values with -0.0 made 0.0, so
+    two of them are equal iff their bits are.
     `kind_widths` counts the categorical, zero-range and range-scaled
     dimensions. The values are checked against the dimensions first,
     column by column; errors name the first bad vector as
     `{where} {index}`.
     """
 
-    __slots__ = ("count", "dim_count", "kind_widths", "cat", "num_scaled", "match")
+    __slots__ = ("count", "dim_count", "kind_widths", "num_scaled", "match")
 
     def __init__(self, dims: tuple[DimensionSpec, ...], vectors, where: str = "element"):
         vectors = list(vectors)
@@ -76,10 +76,10 @@ class PackedAttrs:
                 scaled_rows.append(row)
                 ranges.append(width)
         self.kind_widths = (len(cat_rows), len(exact_rows), len(scaled_rows))
-        exact = _rows(exact_rows, np.float64, self.count) + 0.0  # -0.0 + 0.0 is 0.0
-        self.match = np.concatenate([_rows(cat_rows, np.int64, self.count),
-                                     exact.view(np.int64)])
-        self.cat = self.match[:len(cat_rows)]
+        self.match = _rows(cat_rows, np.int64, self.count)
+        if exact_rows:
+            exact = _rows(exact_rows, np.float64, self.count) + 0.0  # -0.0 + 0.0 is 0.0
+            self.match = np.concatenate([self.match, exact.view(np.int64)])
         self.num_scaled = _rows(scaled_rows, np.float64, self.count)
         self.num_scaled /= np.array(ranges).reshape(-1, 1)
 

@@ -39,12 +39,14 @@ choose:
   float64 once, into k x n x n arrays, forms every depth's star-pair table
   with one batched matmul chain, sums each table with one reduction and
   takes the running totals with one cumulative sum. A block is bounded by
-  bytes, BLOCK_BYTES over the 8 (n_a + n_b)^2 bytes of a depth's widened
-  balls and node products, not by a depth count: graphs of a few dozen
-  nodes take every depth in one block, graphs of a few hundred nodes one
-  depth a block, so large graphs make no larger temporaries than a depth
-  loop would. Each depth's table is the same BLAS products and the same
-  pairwise sum whatever the block, so the bound moves no bit.
+  bytes, not by a depth count: BLOCK_BYTES over the most a depth's
+  widened operands and products take, 8 (n_a + n_b) (n_a + n_b + w_a +
+  w_b) bytes with w_a, w_b the widths of the edge rows (E_h or C_h, 0
+  with edge elements off). Graphs of a few dozen nodes take every depth
+  in one block, graphs of a few hundred nodes one depth a block, so large
+  graphs make no larger temporaries than a depth loop would. Each depth's
+  table is the same BLAS products and the same pairwise sum whatever the
+  block, so the bound moves no bit.
 
 Packs cache every 0/1 indicator (the balls B_h, and E_h on numerical-edge
 schemas) as bool, one byte an entry, and widen it to float64 explicitly at
@@ -102,7 +104,7 @@ def _one_hot(pack: PackedAttrs, counts: tuple[int, ...]) -> np.ndarray:
     out[:, 0] = 1.0
     offset = 1
     for k, count in enumerate(counts):
-        out[np.arange(pack.count), offset + pack.cat[k]] = 1.0
+        out[np.arange(pack.count), offset + pack.match[k]] = 1.0  # categorical rows first
         offset += count
     return out
 
@@ -110,6 +112,14 @@ def _one_hot(pack: PackedAttrs, counts: tuple[int, ...]) -> np.ndarray:
 def _column_weights(counts: tuple[int, ...], floor: float) -> np.ndarray:
     """q of P = O diag(q) O^T: the mismatch floor, then (1 - floor) / d."""
     return np.array([floor] + [(1.0 - floor) / len(counts)] * sum(counts))
+
+
+def _stack(levels: list, lo: int, hi: int) -> np.ndarray:
+    """Levels lo..hi-1 as one k x n x w float64 array. Bool levels are
+    widened, which copies them; a lone float64 level (C_h) is a view."""
+    if hi - lo == 1:
+        return np.asarray(levels[lo], dtype=np.float64)[None]
+    return np.array(levels[lo:hi], dtype=np.float64)
 
 
 class _GraphPack:
@@ -316,21 +326,22 @@ class KernelContext:
         weights = p_nodes if self.tau == 0.0 else np.where(p_nodes >= self.tau, p_nodes, 0.0)
         (balls_a, rows_a), (balls_b, rows_b) = pa.levels(max_depth), pb.levels(max_depth)
         count = min(len(balls_a), len(balls_b))  # min(H, |Va|, |Vb|)
-        # a depth's widened balls, B_a P and m take 8 (n_a + n_b)^2 bytes
-        step = max(1, BLOCK_BYTES // max(1, 8 * (pa.n + pb.n) ** 2))
+        # a depth's operands and products, node and edge, take at most
+        # 8 (n_a + n_b) (n_a + n_b + w_a + w_b) bytes, w being the edge rows' widths
+        size = pa.n + pb.n + sum(rows[0].shape[1] for rows in (rows_a, rows_b) if rows)
+        step = max(1, BLOCK_BYTES // max(1, 8 * (pa.n + pb.n) * size))
         sums = np.empty(count)
         for lo in range(0, count, step):
             hi = min(lo + step, count)
             # unnamed operands are freed as soon as a product has read them
-            m = (np.array(balls_a[lo:hi], dtype=np.float64) @ p_nodes
-                 @ np.array(balls_b[lo:hi], dtype=np.float64).transpose(0, 2, 1))
+            m = _stack(balls_a, lo, hi) @ p_nodes @ _stack(balls_b, lo, hi).transpose(0, 2, 1)
             if self.edge_weights is not None:
                 # P_e = Oe_a diag(qe) Oe_b^T, so E_a P_e E_b^T = C_a diag(qe) C_b^T
-                m += ((np.array(rows_a[lo:hi]) * self.edge_weights)
-                      @ np.array(rows_b[lo:hi]).transpose(0, 2, 1))
+                m += ((_stack(rows_a, lo, hi) * self.edge_weights)
+                      @ _stack(rows_b, lo, hi).transpose(0, 2, 1))
             elif p_edges is not None:
-                m += (np.array(rows_a[lo:hi], dtype=np.float64) @ p_edges
-                      @ np.array(rows_b[lo:hi], dtype=np.float64).transpose(0, 2, 1))
+                m += (_stack(rows_a, lo, hi) @ p_edges
+                      @ _stack(rows_b, lo, hi).transpose(0, 2, 1))
             m *= weights
             np.add.reduce(m.reshape(hi - lo, -1), axis=1, out=sums[lo:hi])
         totals = np.add.accumulate(sums).tolist()  # left to right, as a running total

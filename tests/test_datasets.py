@@ -16,6 +16,7 @@ from nask.datasets import (
 )
 from nask.errors import DatasetError
 from nask.graph import (
+    CATEGORICAL,
     AttributedGraph,
     AttributeSchema,
     AttributeVector,
@@ -403,6 +404,59 @@ class TestRanges:
         assert type(first.range_min) is float and type(second.range_max) is float
         assert (second.range_min, second.range_max) == (2.5, 5.0)
         assert edge.range is None
+
+    @staticmethod
+    def loop_ranges(ds, graph_indices=None):
+        """Each numerical dimension's (min, max) by one comparison a value,
+        the first of equal values kept; None where nothing was observed."""
+        graphs = ds.graphs if graph_indices is None else [ds.graphs[i] for i in graph_indices]
+        sides = [(ds.schema.node_dims, [g.node_attrs for g in graphs]),
+                 (ds.schema.edge_dims, [[v for _, v in g.edge_attrs or ()] for g in graphs])]
+        out = []
+        for dims, vectors in sides:
+            for k, dim in enumerate(dims):
+                if dim.kind == CATEGORICAL:
+                    continue
+                low = high = None
+                for vec in (v for vs in vectors for v in vs):
+                    value = vec.values[k]
+                    if low is None or value < low:
+                        low = value
+                    if high is None or value > high:
+                        high = value
+                out.append((low, high))
+        return out
+
+    @staticmethod
+    def ends(ds):
+        dims = ds.schema.node_dims + ds.schema.edge_dims
+        return [(d.range_min, d.range_max) for d in dims if d.kind != CATEGORICAL]
+
+    @pytest.mark.parametrize("graph_indices", [None, list(range(3, 120, 7))])
+    def test_column_reductions_equal_a_loop_over_every_vector(self, graph_indices):
+        ds = synth.wide_attribute_dataset(seed=11, count=120)
+        ends = self.ends(compute_ranges(ds, graph_indices))
+        expected = self.loop_ranges(ds, graph_indices)
+        assert len(ends) == 18 and ends == expected
+        assert [tuple(map(type, e)) for e in ends] == [tuple(map(type, e)) for e in expected]
+
+    @pytest.mark.parametrize("column", [
+        (2**53 + 1, 2.0**53, 2**53),  # ints beyond 2^53 round to the same float
+        (0.0, -0.0, 3, 3.0),
+        (1.5, float("nan"), -2.0),  # a NaN: the builtins over the whole column
+        (True, 1, 0.5, False),
+    ])
+    def test_column_ends_are_the_loops_python_objects(self, column):
+        schema = synth.mixed_schema(n_cat=1, n_num=1, with_ranges=False)
+        graph = AttributedGraph(
+            graph_id=0, adjacency=((),) * len(column),
+            node_attrs=tuple(AttributeVector((0, v)) for v in column),
+        )
+        ds = synth.dataset_from_graphs([graph], "ends", schema, labels=[0])
+        (low, high), = self.loop_ranges(ds)
+        dim = compute_ranges(ds).schema.node_dims[1]
+        assert (dim.range_min, dim.range_max) == (low, high)
+        assert (type(dim.range_min), type(dim.range_max)) == (type(low), type(high))
 
 
 class TestValidationReport:
