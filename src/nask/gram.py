@@ -8,6 +8,12 @@ so the matrix is exactly symmetric as stored and byte-identical across
 --threads settings. Files use a small text format: a version header,
 one-line JSON metadata, the dimension, then rows of space-separated reals
 at 17 significant digits (bit-exact round trip).
+
+The Gram path holds no whole copy of a matrix it does not need: the
+tables compute_gram fills, the buffer normalize_gram forms and the table
+import_gram parses become read-only Grams in place, while a caller's array
+given to GramMatrix is still copied. import_gram streams files that hold
+only what export_gram writes (see there).
 """
 
 from __future__ import annotations
@@ -95,23 +101,41 @@ class GramMeta:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric kernel matrix over a dataset, with provenance metadata."""
+    """Symmetric kernel matrix over a dataset, with provenance metadata.
+
+    `values` is a read-only copy of the array given, so later writes to that
+    array cannot reach the Gram.
+    """
 
     values: np.ndarray
     meta: GramMeta
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64, copy=True)
-        if values.ndim != 2 or values.shape[0] != values.shape[1]:
-            raise InvalidGramError(f"gram values must be square, got shape {values.shape}")
-        if not np.array_equal(values, values.T):
-            raise InvalidGramError("gram values must be exactly symmetric")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen(values))
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+
+def _frozen(values: np.ndarray) -> np.ndarray:
+    """`values`, checked square and exactly symmetric, made read-only in place."""
+    if values.ndim != 2 or values.shape[0] != values.shape[1]:
+        raise InvalidGramError(f"gram values must be square, got shape {values.shape}")
+    if not np.array_equal(values, values.T):
+        raise InvalidGramError("gram values must be exactly symmetric")
+    values.flags.writeable = False
+    return values
+
+
+def _own(values: np.ndarray, meta: GramMeta) -> GramMatrix:
+    """A Gram over a float64 array this package has just made and holds
+    nowhere else: the array is made read-only in place, not copied."""
+    gram = object.__new__(GramMatrix)
+    object.__setattr__(gram, "values", _frozen(values))
+    object.__setattr__(gram, "meta", meta)
+    return gram
 
 
 @dataclass(frozen=True)
@@ -132,12 +156,23 @@ def matrix_digest(values: np.ndarray) -> str:
 
 _WORKER_STATE: dict = {}
 
+# the most bytes of Gram values one row span returns, above the floor of
+# threads * 4 spans: a span's rows are held until written into the tables
+SPAN_BYTES = 1 << 20
+
 
 def _span_rows(span) -> list[np.ndarray]:
     """The kept depths of Gram rows lo..hi-1 of the job (ctx, graphs, depth,
     kept) left in _WORKER_STATE, which forked pool workers inherit."""
     ctx, graphs, depth, kept = _WORKER_STATE["job"]
     return [totals[kept] for totals in ctx.gram_rows(graphs, *span, depth)]
+
+
+def _span_count(n: int, kept: int, threads: int) -> int:
+    """threads * 4, or more spans when the kept depths' 8-byte upper-triangle
+    values exceed SPAN_BYTES a span; one row is the finest span."""
+    need = (4 * kept * n * (n + 1) + SPAN_BYTES - 1) // SPAN_BYTES
+    return max(threads * 4, min(n, need))
 
 
 def _row_spans(n: int, count: int) -> list[tuple[int, int]]:
@@ -162,7 +197,8 @@ def compute_gram(
     """Full kernel matrix of a dataset (ranges must be computed already).
 
     The upper triangle is cut into threads * 4 contiguous row spans of about
-    equal entry counts. KernelContext.gram_rows fills each span, in this
+    equal entry counts, or into more when a span's values would exceed
+    SPAN_BYTES. KernelContext.gram_rows fills each span, in this
     process when threads is 1 and across a fork pool of `threads` workers
     otherwise, and each span is written into both triangles as it arrives.
     Each entry is one pair's value, formed the same way whoever forms it, so
@@ -201,8 +237,10 @@ def compute_gram(
         warnings.warn("fork start method unavailable; computing on one thread")
         threads = 1
     n = ds.num_graphs
-    spans = _row_spans(n, threads * 4)
+    spans = _row_spans(n, _span_count(n, len(kept), threads))
+    tau = ctx.tau
     _WORKER_STATE["job"] = (ctx, ds.graphs, plan.max_depth, [h - 1 for h in kept])
+    del ctx  # clearing _WORKER_STATE then drops the packs
     # each n x n float64 table takes 8 n^2 bytes: 20 GB at n = 50,000
     try:
         tables = [np.empty((n, n)) for _ in kept]
@@ -214,17 +252,18 @@ def compute_gram(
                     for table, values in zip(tables, totals):
                         table[i, i:] = table[i:, i] = values
                 del rows  # before the next span is formed
+        _WORKER_STATE.clear()  # the packs go before any Gram is formed
         grams = {}
         for h in kept:
             meta = GramMeta(
                 dataset_digest=ds.digest,
                 gamma=params.gamma,
                 depth=h,
-                tau=ctx.tau,
+                tau=tau,
                 normalize=False,
                 edge_elements=edge_elements,
             )
-            gram = GramMatrix(values=tables.pop(0), meta=meta)  # frees the raw table once copied
+            gram = _own(tables.pop(0), meta)
             grams[h] = normalize_gram(gram) if normalize else gram
     except MemoryError as exc:
         raise GramComputeError(
@@ -265,8 +304,7 @@ def normalize_gram(gram: GramMatrix) -> GramMatrix:
     Raises InvalidGramError on a nonpositive diagonal entry.
     """
     diag = _positive_diagonal(gram.values)
-    values = _cosine(gram.values, diag, diag)
-    return GramMatrix(values=values, meta=replace(gram.meta, normalize=True))
+    return _own(_cosine(gram.values, diag, diag), replace(gram.meta, normalize=True))
 
 
 def check_psd(gram, tol: float = 1e-8) -> PsdVerdict:
@@ -305,14 +343,82 @@ def export_gram(gram: GramMatrix, path) -> Path:
     return path
 
 
+# the line breaks str.splitlines honours besides "\n" that are ASCII (it
+# also breaks at "\x85", "\u2028" and "\u2029"); np.loadtxt reads them as
+# whitespace
+_ODD_BREAKS = b"\r\v\f\x1c\x1d\x1e"
+_ROW_BYTES = b"0123456789+-.e \n"  # every byte export_gram writes in a row
+_SCAN_CHUNK = 1 << 20
+
+
 def import_gram(path) -> GramMatrix:
     """Parse a Gram file, checking version, shape, and symmetry.
+
+    A file that holds only what export_gram writes is streamed: no copy of
+    its text is held (see _read_streamed). Every other file, and every file
+    whose rows np.loadtxt rejects or reads as not n x n or not finite, is
+    read whole and split into lines, which decides it as the line-based
+    reader always has and names the first bad line.
+    """
+    path = Path(path)
+    meta, values = _read_streamed(path) or _read_lines(path)
+    try:
+        return _own(values, meta)
+    except InvalidGramError as exc:  # n x n, so only symmetry can fail
+        raise GramFormatError(f"{path.name}: matrix is not symmetric as stored") from exc
+
+
+def _read_streamed(path: Path) -> tuple[GramMeta, np.ndarray] | None:
+    """(meta, values) of a Gram file whose rows np.loadtxt parses from the
+    open file, or None when the line-based reader must decide it.
+
+    The three header lines must be ASCII, free of the other line breaks
+    str.splitlines honours, and end in "\n", the third not blank: then they
+    are the line-based reader's first three lines, and every header error is
+    raised here as it would be there. A chunked byte scan then checks that
+    the rest holds only bytes export_gram writes in a row, in exactly n
+    lines; a blank line among them leaves np.loadtxt fewer than n rows.
+    """
+    try:
+        with path.open("rb") as file:
+            head = [file.readline() for _ in range(3)]
+            if not all(
+                line.endswith(b"\n") and line.isascii() and not any(b in line for b in _ODD_BREAKS)
+                for line in head
+            ):
+                return None
+            lines = [line[:-1].decode("ascii") for line in head]
+            if not lines[2].strip():
+                return None
+            meta, n = _header(path.name, lines)
+            start = file.tell()
+            count, last = 0, b"\n"
+            while chunk := file.read(_SCAN_CHUNK):
+                if chunk.translate(None, _ROW_BYTES):
+                    return None
+                count += chunk.count(b"\n")
+                last = chunk[-1:]
+            if count + (last != b"\n") != n:
+                return None
+            file.seek(start)
+            try:
+                values = np.loadtxt(file, ndmin=2, comments=None)
+            except ValueError:
+                return None
+    except OSError:
+        return None  # the line-based reader reports it
+    if values.shape != (n, n) or not np.isfinite(values).all():
+        return None
+    return meta, values
+
+
+def _read_lines(path: Path) -> tuple[GramMeta, np.ndarray]:
+    """(meta, values) of a Gram file read whole and split into lines.
 
     The rows are parsed by one np.loadtxt call. Only when that parse fails,
     or the table is not n x n or holds a non-finite value, are the rows
     scanned one by one, to name the first bad line.
     """
-    path = Path(path)
     try:
         lines = path.read_text().splitlines()
     except OSError as exc:
@@ -321,25 +427,7 @@ def import_gram(path) -> GramMatrix:
         lines.pop()
     if not lines:
         raise GramFormatError(f"{path.name}: empty file")
-    if lines[0] != _HEADER:
-        raise GramFormatError(
-            f"{path.name}:1: unsupported version {lines[0]!r} (expected {_HEADER!r})"
-        )
-    if len(lines) < 3:
-        raise GramFormatError(f"{path.name}: truncated file (line {len(lines) + 1})")
-    try:
-        meta_obj = json.loads(lines[1])
-    except json.JSONDecodeError as exc:
-        raise GramFormatError(f"{path.name}:2: metadata parse failure: {exc}") from exc
-    if not isinstance(meta_obj, dict):
-        raise GramFormatError(f"{path.name}:2: metadata must be a JSON object")
-    meta = GramMeta.from_obj(meta_obj)
-    try:
-        n = int(lines[2].strip())
-    except ValueError as exc:
-        raise GramFormatError(f"{path.name}:3: dimension parse failure") from exc
-    if n < 1:
-        raise GramFormatError(f"{path.name}:3: dimension must be >= 1, got {n}")
+    meta, n = _header(path.name, lines)
     rows = lines[3:]
     if len(rows) != n:
         raise GramFormatError(
@@ -352,9 +440,31 @@ def import_gram(path) -> GramMatrix:
         values = None
     if values is None or values.shape != (n, n) or not np.isfinite(values).all():
         values = _scan_rows(path.name, rows, n)
-    if not np.array_equal(values, values.T):
-        raise GramFormatError(f"{path.name}: matrix is not symmetric as stored")
-    return GramMatrix(values=values, meta=meta)
+    return meta, values
+
+
+def _header(name: str, lines: list[str]) -> tuple[GramMeta, int]:
+    """Metadata and dimension from a Gram file's lines (at least one)."""
+    if lines[0] != _HEADER:
+        raise GramFormatError(
+            f"{name}:1: unsupported version {lines[0]!r} (expected {_HEADER!r})"
+        )
+    if len(lines) < 3:
+        raise GramFormatError(f"{name}: truncated file (line {len(lines) + 1})")
+    try:
+        meta_obj = json.loads(lines[1])
+    except json.JSONDecodeError as exc:
+        raise GramFormatError(f"{name}:2: metadata parse failure: {exc}") from exc
+    if not isinstance(meta_obj, dict):
+        raise GramFormatError(f"{name}:2: metadata must be a JSON object")
+    meta = GramMeta.from_obj(meta_obj)
+    try:
+        n = int(lines[2].strip())
+    except ValueError as exc:
+        raise GramFormatError(f"{name}:3: dimension parse failure") from exc
+    if n < 1:
+        raise GramFormatError(f"{name}:3: dimension must be >= 1, got {n}")
+    return meta, n
 
 
 def _scan_rows(name: str, rows: list[str], n: int) -> np.ndarray:

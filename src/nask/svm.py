@@ -3,11 +3,15 @@
 The binary solver is sequential minimal optimization over the dual with
 max-violating-pair working-set selection, lowest-index tie-breaking, and
 an analytic two-variable subproblem clipped to the box by one rule per
-constraint type. It maintains the gradient of the dual objective and the
-two working-set masks incrementally, so one update costs O(n). A fit that
-hits its update cap warns and returns with `converged` false. Models store
-only what prediction needs: support indices, dual coefficients, and the
-bias.
+constraint type. Its state is yg = -y * grad, grad being the gradient of
+the dual objective, kept in two rows that hold yg on each working set and
+an infinite sentinel off it, so selection is one argmax and one argmin.
+An update subtracts two columns of K scaled by y_i and y_j times the
+alpha steps, in O(n) with no n x n matrix Q = yy' * K: multiplying by +-1
+is exact, so every value is the one a Q-based update would give, bit for
+bit. A fit that hits its update cap warns and returns with `converged`
+false. Models store only what prediction needs: support indices, dual
+coefficients, and the bias.
 
 A fresh machine also records its `peak`, the largest tentative value of
 its updates: every alpha right after the analytic step, and every
@@ -71,9 +75,19 @@ class SvmModel:
         return all(m.converged for m in self.machines)
 
 
-def _as_matrix(K) -> np.ndarray:
-    values = getattr(K, "values", K)
-    return np.asarray(values, dtype=np.float64)
+def _kernel(K, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """K (an array or a Gram) as a float64 array, and the array whose row k
+    is column k of K: K itself when K is exactly symmetric, else one
+    transposed copy. Raises SvmError on a shape other than n x n and names
+    the first entry that is not finite."""
+    K = np.asarray(getattr(K, "values", K), dtype=np.float64)
+    if K.ndim != 2 or K.shape != (n, n):
+        raise SvmError(f"kernel block of shape {K.shape} for {n} labels")
+    finite = np.isfinite(K)
+    if not finite.all():
+        i, j = divmod(int(finite.argmin()), n)
+        raise SvmError(f"kernel entry ({i}, {j}) is {K.item(i, j)}, not finite")
+    return K, K if np.array_equal(K, K.T) else np.ascontiguousarray(K.T)
 
 
 def train_binary(
@@ -89,11 +103,13 @@ def train_binary(
     max_passes caps the number of working-set updates (default 10n);
     exceeding it yields a warning carried in the model, not a failure.
     """
-    K = _as_matrix(K)
     y = np.asarray(y, dtype=np.float64)
+    return _solve(*_kernel(K, y.shape[0]), y, C, tol, max_passes, positive_class)
+
+
+def _solve(K, cols, y, C, tol, max_passes, positive_class) -> BinarySvm:
+    """train_binary on a checked K whose column k is row k of `cols`."""
     n = y.shape[0]
-    if K.ndim != 2 or K.shape != (n, n):
-        raise SvmError(f"kernel block of shape {K.shape} for {n} labels")
     if not np.all(np.abs(y) == 1.0):
         raise SvmError("labels must be -1 or +1")
     if not (y > 0).any() or not (y < 0).any():
@@ -108,40 +124,36 @@ def train_binary(
     C = float(C)
 
     Kd = K.diagonal().tolist()
-    # row k is column k of K * yy': an update reads two contiguous rows, with
-    # the values of the columns even where K is not exactly symmetric
-    # (multiplying by +-1 is exact, so no yy' matrix is needed)
-    Q = np.multiply(K.T, y[:, None], order="C")
-    Q *= y
     signs = y.tolist()
-    neg_y = -y
-    alpha = np.zeros(n)
-    grad = -np.ones(n)  # gradient of (1/2 a'Qa - sum a)
-    yg = np.empty(n)
+    alpha = [0.0] * n
     # indices whose y*alpha may still rise (up) or fall (lo), kept in step
     # with alpha at the two indices each update moves. Neither set is ever
     # empty: emptying one puts every alpha of one label sign at one bound and
     # every alpha of the other sign at the opposite bound, which
     # sum(y * alpha) = 0 rules out when both signs are present.
-    up, lo = y > 0, y < 0
-    up_yg, lo_yg = np.full(n, -np.inf), np.full(n, np.inf)  # yg inside each set
+    up, lo = [s > 0 for s in signs], [s < 0 for s in signs]
+    # yg = -y * grad on `up` and -inf elsewhere, on `lo` and +inf elsewhere;
+    # the gradient of (1/2 a'Qa - sum a) starts at -1, so yg starts at y.
+    # Every index lies in a set, so each yg is finite in some row.
+    sel = np.where([up, lo], y, [[-np.inf], [np.inf]])
+    up_yg, lo_yg = sel
     inc, step = np.empty(n), np.empty(n)
     converged = False
     iterations = 0
     peak = 0.0
 
     for _ in range(max_iter):
-        np.multiply(neg_y, grad, out=yg)
-        np.copyto(up_yg, yg, where=up)
-        np.copyto(lo_yg, yg, where=lo)
         i = int(up_yg.argmax())
         j = int(lo_yg.argmin())
-        if yg.item(i) - yg.item(j) <= tol:
+        yg_i, yg_j = up_yg.item(i), lo_yg.item(j)
+        if yg_i - yg_j <= tol:
             converged = True
             break
         iterations += 1
-        old_i, old_j = alpha.item(i), alpha.item(j)
-        grad_i, grad_j = grad.item(i), grad.item(j)
+        old_i, old_j = alpha[i], alpha[j]
+        # + 0.0 turns -0.0 into +0.0: the gradient, a sum starting at -1,
+        # never holds -0.0
+        grad_i, grad_j = -signs[i] * yg_i + 0.0, -signs[j] * yg_j + 0.0
         quad = Kd[i] + Kd[j] - 2.0 * K.item(i, j)
         if quad <= 0:
             quad = _TAU
@@ -169,24 +181,25 @@ def train_binary(
                     pair[b], pair[a] = 0.0, total
         new_i, new_j = pair
         alpha[i], alpha[j] = pair
-        for k, value in ((i, new_i), (j, new_j)):
+        for k, value, yg_k in ((i, new_i, yg_i), (j, new_j, yg_j)):
             below, above = value < C, value > 0
             up[k], lo[k] = (below, above) if signs[k] > 0 else (above, below)
-            if not up[k]:
-                up_yg[k] = -np.inf
-            if not lo[k]:
-                lo_yg[k] = np.inf
-        # grad += Q[i] (new_i - old_i) + Q[j] (new_j - old_j), in place
-        np.multiply(Q[i], new_i - old_i, out=inc)
-        np.multiply(Q[j], new_j - old_j, out=step)
+            up_yg[k] = yg_k if up[k] else -np.inf
+            lo_yg[k] = yg_k if lo[k] else np.inf
+        # yg -= K[:, i] (y_i (new_i - old_i)) + K[:, j] (y_j (new_j - old_j))
+        # in both rows, in place; the sentinels stay infinite
+        np.multiply(cols[i], signs[i] * (new_i - old_i), out=inc)
+        np.multiply(cols[j], signs[j] * (new_j - old_j), out=step)
         inc += step
-        grad += inc
+        sel -= inc
     else:
         warnings.warn(
             f"SMO did not converge within {max_iter} updates (gap above {tol})"
         )
 
-    yg = neg_y * grad
+    alpha, up, lo = np.array(alpha), np.array(up), np.array(lo)
+    grad = -y * np.where(up, up_yg, lo_yg) + 0.0
+    yg = -y * grad
     free = (alpha > 0) & (alpha < C)
     if free.any():
         bias = float(yg[free].mean())
@@ -217,11 +230,9 @@ def train_ovr(
     gram_digest: str | None = None,
 ) -> SvmModel:
     """One-vs-rest training; two classes collapse to a single machine."""
-    K = _as_matrix(K)
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if K.shape != (n, n):
-        raise SvmError(f"kernel block of shape {K.shape} for {n} labels")
+    K, cols = _kernel(K, n)
     values = np.unique(labels)
     if values.dtype.kind == "f":
         bad = values[~np.isfinite(values) | (values != np.trunc(values))]
@@ -231,8 +242,7 @@ def train_ovr(
     if len(classes) < 2:
         raise DegenerateClassError(f"need at least 2 classes, got {len(classes)}")
     machines = tuple(
-        train_binary(K, np.where(labels == c, 1.0, -1.0), C, tol=tol,
-                     max_passes=max_passes, positive_class=c)
+        _solve(K, cols, np.where(labels == c, 1.0, -1.0), C, tol, max_passes, c)
         for c in (classes[1:] if len(classes) == 2 else classes)
     )
     return SvmModel(

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from nask import gram as gram_module
 from nask import stars
 from nask.datasets import compute_ranges
 from nask.errors import (
@@ -111,21 +113,23 @@ def numedge_dataset():
     return compute_ranges(synth.dataset_from_graphs(graphs, "numedge30", schema))
 
 
-def pinned_gram(name):
-    """The Gram behind each PINNED_GRAM_SHA256 entry."""
+def pinned_gram(name, threads=None):
+    """The Gram behind each PINNED_GRAM_SHA256 entry, at its own thread
+    count unless one is given."""
     params = SimilarityParams(gamma=1.0)
     if name.startswith("numedge30"):
         mode = "off" if name.endswith("off") else "auto"
         return compute_gram(numedge_dataset(), params, ExpansionPlan(max_depth=4),
-                            edge_elements=mode, threads=2)
+                            edge_elements=mode, threads=threads or 2)
     if name == "bench2-H4":
         ds = compute_ranges(synth.benchmark_dataset(seed=7))
-        return compute_gram(ds, params, ExpansionPlan(max_depth=4))
+        return compute_gram(ds, params, ExpansionPlan(max_depth=4), threads=threads or 1)
     if name == "wide6-200-H4":
         ds = compute_ranges(synth.wide_attribute_dataset(seed=11, count=200))
-        return compute_gram(ds, params, ExpansionPlan(max_depth=4), threads=2)
+        return compute_gram(ds, params, ExpansionPlan(max_depth=4), threads=threads or 2)
     # pruned center weights
-    return compute_gram(large_dataset(), params, ExpansionPlan(max_depth=3), tau=0.6)
+    return compute_gram(large_dataset(), params, ExpansionPlan(max_depth=3), tau=0.6,
+                        threads=threads or 1)
 
 
 def sha256(gram) -> str:
@@ -347,7 +351,8 @@ class TestComputeGram:
             monkeypatch.setattr(KernelContext, "feature_totals", exhausted)
         else:
             ds = small_dataset(count=4)
-            monkeypatch.setattr(GramMatrix, "__post_init__", exhausted)
+            # the symmetry check of the hand-over forms an n x n temporary
+            monkeypatch.setattr(gram_module, "_frozen", exhausted)
         with pytest.raises(GramComputeError, match=f"n={ds.num_graphs} graphs"):
             compute_gram(ds)
 
@@ -516,6 +521,110 @@ def test_the_depth_block_bound_changes_no_bit(monkeypatch, name, block_bytes):
     assert sha256(pinned_gram(name)) == PINNED_GRAM_SHA256[name]
 
 
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("name", sorted(PINNED_GRAM_SHA256))
+def test_the_span_cap_changes_no_bit(monkeypatch, name, threads):
+    # 1 byte gives every row a span of its own
+    monkeypatch.setattr(gram_module, "SPAN_BYTES", 1)
+    assert sha256(pinned_gram(name, threads)) == PINNED_GRAM_SHA256[name]
+
+
+def test_the_span_cap_splits_only_large_grams():
+    span_count = gram_module._span_count
+    # (n, kept depths, threads): the 400-graph H=4 Gram on 2 workers and a
+    # 188-graph Gram of two depths on 1 keep threads * 4 spans
+    assert span_count(400, 1, 2) == 8
+    assert span_count(188, 2, 1) == 4
+    # four 2000 x 2000 depths: 64 MB of upper-triangle values, 1 MiB a span
+    assert span_count(2000, 4, 1) == 62
+    assert span_count(3, 4, 1) == 4  # the floor even above the row count
+
+
+class TestOwnership:
+    def test_the_public_constructor_copies(self):
+        values = np.array([[2.0, 1.0], [1.0, 2.0]])
+        gram = GramMatrix(values=values, meta=meta_for(small_dataset(count=2)))
+        assert values.flags.writeable
+        assert not np.shares_memory(values, gram.values)
+        assert not gram.values.flags.writeable
+        values[0, 0] = 5.0
+        assert gram.values[0, 0] == 2.0
+
+    def test_package_made_grams_are_read_only(self, tmp_path):
+        raw = compute_gram(small_dataset(count=4))
+        made = {
+            "compute": raw,
+            "normalize": normalize_gram(raw),
+            "import": import_gram(export_gram(raw, tmp_path / "g.gram")),
+        }
+        for gram in made.values():
+            assert not gram.values.flags.writeable
+            with pytest.raises(ValueError):
+                gram.values[0, 0] = 0.0
+
+    def test_import_peaks_below_twice_the_matrix(self, tmp_path):
+        # a 400 x 400 table, gram_wide6's size, at 17 significant digits
+        values = np.random.default_rng(5).random((400, 400)) * 40.0
+        values += values.T
+        meta = meta_for(small_dataset(count=2))
+        path = export_gram(GramMatrix(values=values, meta=meta), tmp_path / "g.gram")
+        tracemalloc.start()
+        try:
+            back = import_gram(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.values, values)
+        assert peak < 2 * values.nbytes
+
+
+def _in_row(text: str, row: int, old: str, new: str, drop_tail: bool = False) -> str:
+    """`text`, a Gram file, with the first `old` at or after the start of
+    its row `row` replaced by `new`; with `drop_tail` the rest of that row
+    goes too."""
+    lines = text.split("\n")
+    at = sum(len(line) + 1 for line in lines[:3 + row])
+    cut = text.index(old, at)
+    end = text.index("\n", cut) if drop_tail else cut + len(old)
+    return text[:cut] + new + text[end:]
+
+
+def _set_fields(text: str, value: str, both: bool = True) -> str:
+    """`text` with entry (0, 1) of a 2 x 2 Gram file set to `value`, and
+    entry (1, 0) too with `both`."""
+    lines = text.split("\n")
+    first, second = lines[3].split(), lines[4].split()
+    first[1] = value
+    if both:
+        second[0] = value
+    lines[3:5] = [" ".join(first), " ".join(second)]
+    return "\n".join(lines)
+
+
+# files the byte scan sends to the line-based reader, with the outcome
+# that reader gives: the exported values, or the error message
+_MISMATCH = "g.gram: dimension mismatch, expected 2 rows, found 3"
+ODD_GRAM_FILES = {
+    **{f"break {ord(c):#x} in a row": (lambda t, c=c: _in_row(t, 0, " ", c), _MISMATCH)
+       for c in "\v\f\x1c\x1d\x1e\x85\u2028\u2029"},
+    "blank line among the rows": (lambda t: _in_row(t, 0, "\n", "\n\n"), _MISMATCH),
+    "spaces-only line among the rows": (lambda t: _in_row(t, 0, "\n", "\n  \n"), _MISMATCH),
+    "CRLF line ends": (lambda t: t.replace("\n", "\r\n"), None),
+    "trailing blank lines": (lambda t: t + "\n \n\n", None),
+    "no final line end": (lambda t: t[:-1], None),
+    "tab-separated row": (lambda t: _in_row(t, 1, " ", "\t"), None),
+    "short row": (lambda t: _in_row(t, 0, " ", "", drop_tail=True),
+                  "g.gram:4: expected 2 values, found 1"),
+    "value that overflows": (lambda t: _set_fields(t, "1e400"), "g.gram:4: non-finite value"),
+    "asymmetric table": (lambda t: _set_fields(t, "123.25", both=False),
+                         "g.gram: matrix is not symmetric as stored"),
+    "byte order mark": (lambda t: "\ufeff" + t, "g.gram:1: unsupported version "
+                        "'\\ufeffNASK-GRAM v1' (expected 'NASK-GRAM v1')"),
+    "blank dimension line, no rows": (lambda t: "\n".join(t.split("\n")[:2]) + "\n\n",
+                                      "g.gram: truncated file (line 3)"),
+}
+
+
 class TestFileFormat:
     def test_round_trip_is_bit_exact(self, tmp_path):
         ds = small_dataset(seed=40, count=7)
@@ -647,6 +756,19 @@ class TestFileFormat:
         path.write_text("\n".join(lines) + "\n")
         assert np.array_equal(import_gram(path).values, gram.values)
 
+    @pytest.mark.parametrize("case", sorted(ODD_GRAM_FILES))
+    def test_odd_files_keep_their_outcome(self, tmp_path, case):
+        mutate, message = ODD_GRAM_FILES[case]
+        gram = compute_gram(small_dataset(count=2))
+        path = export_gram(gram, tmp_path / "g.gram")
+        path.write_bytes(mutate(path.read_text()).encode())
+        if message is None:
+            assert np.array_equal(import_gram(path).values, gram.values)
+        else:
+            with pytest.raises(GramFormatError) as info:
+                import_gram(path)
+            assert str(info.value) == message
+
     def test_gram_matrix_requires_exact_symmetry(self):
         ds = small_dataset(count=2)
         # even a one-ulp difference is a construction error
@@ -655,3 +777,4 @@ class TestFileFormat:
                 values=np.array([[1.0, 2.0], [np.nextafter(2.0, 3.0), 1.0]]),
                 meta=meta_for(ds),
             )
+

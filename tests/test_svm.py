@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 import warnings
 
 import numpy as np
@@ -230,6 +231,17 @@ class TestValidation:
     def test_kernel_shape_checked(self):
         with pytest.raises(SvmError, match="shape"):
             train_binary(np.eye(3), np.array([1.0, -1.0]), C=1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize("train", ["binary", "ovr"])
+    def test_non_finite_kernel_entries_are_named(self, bad, train):
+        K = np.eye(4)
+        K[2, 1] = K[1, 2] = K[3, 0] = bad
+        with pytest.raises(SvmError, match=re.escape(f"entry (1, 2) is {bad}, not finite")):
+            if train == "binary":
+                train_binary(K, np.array([1.0, -1.0, 1.0, -1.0]), C=1.0)
+            else:
+                train_ovr(K, np.array([0, 1, 2, 0]), C=1.0)
 
     def test_cost_must_be_positive(self):
         for cost in (0.0, float("nan"), float("inf"), True, "1"):
