@@ -156,23 +156,12 @@ def matrix_digest(values: np.ndarray) -> str:
 
 _WORKER_STATE: dict = {}
 
-# the most bytes of Gram values one row span returns, above the floor of
-# threads * 4 spans: a span's rows are held until written into the tables
-SPAN_BYTES = 1 << 20
-
 
 def _span_rows(span) -> list[np.ndarray]:
     """The kept depths of Gram rows lo..hi-1 of the job (ctx, graphs, depth,
     kept) left in _WORKER_STATE, which forked pool workers inherit."""
     ctx, graphs, depth, kept = _WORKER_STATE["job"]
     return [totals[kept] for totals in ctx.gram_rows(graphs, *span, depth)]
-
-
-def _span_count(n: int, kept: int, threads: int) -> int:
-    """threads * 4, or more spans when the kept depths' 8-byte upper-triangle
-    values exceed SPAN_BYTES a span; one row is the finest span."""
-    need = (4 * kept * n * (n + 1) + SPAN_BYTES - 1) // SPAN_BYTES
-    return max(threads * 4, min(n, need))
 
 
 def _row_spans(n: int, count: int) -> list[tuple[int, int]]:
@@ -197,8 +186,7 @@ def compute_gram(
     """Full kernel matrix of a dataset (ranges must be computed already).
 
     The upper triangle is cut into threads * 4 contiguous row spans of about
-    equal entry counts, or into more when a span's values would exceed
-    SPAN_BYTES. KernelContext.gram_rows fills each span, in this
+    equal entry counts. KernelContext.gram_rows fills each span, in this
     process when threads is 1 and across a fork pool of `threads` workers
     otherwise, and each span is written into both triangles as it arrives.
     Each entry is one pair's value, formed the same way whoever forms it, so
@@ -237,7 +225,7 @@ def compute_gram(
         warnings.warn("fork start method unavailable; computing on one thread")
         threads = 1
     n = ds.num_graphs
-    spans = _row_spans(n, _span_count(n, len(kept), threads))
+    spans = _row_spans(n, threads * 4)
     tau = ctx.tau
     _WORKER_STATE["job"] = (ctx, ds.graphs, plan.max_depth, [h - 1 for h in kept])
     del ctx  # clearing _WORKER_STATE then drops the packs
@@ -423,6 +411,8 @@ def _read_lines(path: Path) -> tuple[GramMeta, np.ndarray]:
         lines = path.read_text().splitlines()
     except OSError as exc:
         raise GramFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise GramFormatError(f"{path.name}: cannot decode the file: {exc}") from exc
     while lines and not lines[-1].strip():
         lines.pop()
     if not lines:

@@ -113,23 +113,21 @@ def numedge_dataset():
     return compute_ranges(synth.dataset_from_graphs(graphs, "numedge30", schema))
 
 
-def pinned_gram(name, threads=None):
-    """The Gram behind each PINNED_GRAM_SHA256 entry, at its own thread
-    count unless one is given."""
+def pinned_gram(name):
+    """The Gram behind each PINNED_GRAM_SHA256 entry."""
     params = SimilarityParams(gamma=1.0)
     if name.startswith("numedge30"):
         mode = "off" if name.endswith("off") else "auto"
         return compute_gram(numedge_dataset(), params, ExpansionPlan(max_depth=4),
-                            edge_elements=mode, threads=threads or 2)
+                            edge_elements=mode, threads=2)
     if name == "bench2-H4":
         ds = compute_ranges(synth.benchmark_dataset(seed=7))
-        return compute_gram(ds, params, ExpansionPlan(max_depth=4), threads=threads or 1)
+        return compute_gram(ds, params, ExpansionPlan(max_depth=4))
     if name == "wide6-200-H4":
         ds = compute_ranges(synth.wide_attribute_dataset(seed=11, count=200))
-        return compute_gram(ds, params, ExpansionPlan(max_depth=4), threads=threads or 2)
+        return compute_gram(ds, params, ExpansionPlan(max_depth=4), threads=2)
     # pruned center weights
-    return compute_gram(large_dataset(), params, ExpansionPlan(max_depth=3), tau=0.6,
-                        threads=threads or 1)
+    return compute_gram(large_dataset(), params, ExpansionPlan(max_depth=3), tau=0.6)
 
 
 def sha256(gram) -> str:
@@ -521,25 +519,6 @@ def test_the_depth_block_bound_changes_no_bit(monkeypatch, name, block_bytes):
     assert sha256(pinned_gram(name)) == PINNED_GRAM_SHA256[name]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-@pytest.mark.parametrize("name", sorted(PINNED_GRAM_SHA256))
-def test_the_span_cap_changes_no_bit(monkeypatch, name, threads):
-    # 1 byte gives every row a span of its own
-    monkeypatch.setattr(gram_module, "SPAN_BYTES", 1)
-    assert sha256(pinned_gram(name, threads)) == PINNED_GRAM_SHA256[name]
-
-
-def test_the_span_cap_splits_only_large_grams():
-    span_count = gram_module._span_count
-    # (n, kept depths, threads): the 400-graph H=4 Gram on 2 workers and a
-    # 188-graph Gram of two depths on 1 keep threads * 4 spans
-    assert span_count(400, 1, 2) == 8
-    assert span_count(188, 2, 1) == 4
-    # four 2000 x 2000 depths: 64 MB of upper-triangle values, 1 MiB a span
-    assert span_count(2000, 4, 1) == 62
-    assert span_count(3, 4, 1) == 4  # the floor even above the row count
-
-
 class TestOwnership:
     def test_the_public_constructor_copies(self):
         values = np.array([[2.0, 1.0], [1.0, 2.0]])
@@ -768,6 +747,16 @@ class TestFileFormat:
             with pytest.raises(GramFormatError) as info:
                 import_gram(path)
             assert str(info.value) == message
+
+    def test_undecodable_rows_are_a_format_error(self, tmp_path):
+        path = export_gram(compute_gram(small_dataset(count=2)), tmp_path / "g.gram")
+        path.write_bytes(path.read_bytes()[:-2] + b"\xff\n")
+        with pytest.raises(GramFormatError, match=r"^g\.gram: cannot decode the file: "):
+            import_gram(path)
+        # a bad ASCII header is named before the rows are read
+        path.write_bytes(b"NASK-GRAM v0" + path.read_bytes()[len(b"NASK-GRAM v1"):])
+        with pytest.raises(GramFormatError, match="unsupported version 'NASK-GRAM v0'"):
+            import_gram(path)
 
     def test_gram_matrix_requires_exact_symmetry(self):
         ds = small_dataset(count=2)
