@@ -6,6 +6,8 @@ import numbers
 
 def is_integer(value) -> bool:
     """A Python or numpy integer; bools are not parameters' integers."""
+    if type(value) is int:  # the common case, without the ABC check
+        return True
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 

@@ -16,7 +16,8 @@ cross-validation on the training portion only. A run takes three steps:
    costs on them in ascending order, reusing each fit that never touched
    the box for the larger costs. `environment` counts the fresh fits, the
    reused ones, the SMO updates, and the machines that hit their update
-   cap (`convergence_warnings`).
+   cap (`convergence_warnings`), in all and per grid point
+   (`unconverged_by_config`).
 3. Selection averages each grid point's inner accuracies and picks the
    first maximum in the canonical grid order.
 """
@@ -220,14 +221,14 @@ def _kernel_table(ds: Dataset, cfg: CvConfig, prefix: str, seconds: dict, psd: d
     every Gram gets a spectral PSD verdict. When the grid normalizes, each
     Gram's diagonal is checked here, so a nonpositive entry fails before any
     fold. `psd` gains one entry per Gram, keyed `{prefix}gamma=G,H=D`;
-    `seconds` one per pass, keyed by its deepest depth. G is gamma as `:g`
-    prints it, or its repr if that rounds.
+    `seconds` one per pass, keyed by its deepest depth. G is
+    `_label(gamma)`.
     """
     depths = tuple(int(h) for h in cfg.depths)
     deepest = max(depths)
     table = {}
     for gamma in cfg.gammas:
-        label = f"{gamma:g}" if float(f"{gamma:g}") == gamma else repr(float(gamma))
+        label = _label(gamma)
         started = time.perf_counter()
         grams = compute_gram(
             ds,
@@ -250,7 +251,13 @@ def _kernel_table(ds: Dataset, cfg: CvConfig, prefix: str, seconds: dict, psd: d
     return table
 
 
-def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict, normalize=False) -> list:
+def _label(value) -> str:
+    """A grid value as `:g` prints it, or its repr if that rounds."""
+    return f"{value:g}" if float(f"{value:g}") == value else repr(float(value))
+
+
+def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict, normalize=False,
+                unconverged: list | None = None) -> list:
     """Held-out accuracy of one fit per cost, in `costs` order, on blocks
     sliced once from the raw Gram `values`. With `normalize`, both blocks
     are cosine-normalized by the Gram's diagonal: the same bits as slicing
@@ -261,7 +268,8 @@ def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict, normal
     larger C, bit for bit: it and its accuracy are reused until a fit
     reaches the box. `counts` gains the fresh fits, the reused ones, the
     SMO updates of the fresh ones, and the unconverged machines of all,
-    whose warnings are muted.
+    whose warnings are muted; `unconverged`, if given, gains the last per
+    cost, in `costs` order.
     """
     train_block = values[np.ix_(train_idx, train_idx)]
     eval_block = values[np.ix_(eval_idx, train_idx)]
@@ -283,7 +291,10 @@ def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict, normal
                 counts["svm_fits"] += 1
                 counts["svm_updates"] += sum(m.iterations for m in model.machines)
             accuracies[k] = accuracy
-            counts["convergence_warnings"] += sum(not m.converged for m in model.machines)
+            missed = sum(not m.converged for m in model.machines)
+            counts["convergence_warnings"] += missed
+            if unconverged is not None:
+                unconverged[k] += missed
     return accuracies
 
 
@@ -329,6 +340,7 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
     outer_accuracies = []
     pick_counts = dict.fromkeys(grid, 0)
     inner_sums = dict.fromkeys(grid, 0.0)
+    unconverged = dict.fromkeys(grid, 0)  # by grid point, inner and outer fits
 
     for repeat in range(cfg.repeats):
         for fold_id, test_idx in enumerate(split(labels, cfg.folds, repeat)):
@@ -351,21 +363,26 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                     inner_train = np.setdiff1d(train_idx, val_idx)
                     for (gamma, depth), values in table.items():
                         for normalize in cfg.normalize_options:
+                            missed = [0] * len(cfg.costs)
                             accuracies = _cost_sweep(
                                 values, labels, inner_train, val_idx, cfg.costs, counts,
-                                normalize,
+                                normalize, missed,
                             )
-                            for cost, accuracy in zip(cfg.costs, accuracies):
+                            for cost, accuracy, count in zip(cfg.costs, accuracies, missed):
                                 totals[gamma, depth, normalize, cost] += accuracy
+                                unconverged[gamma, depth, normalize, cost] += count
                 means = {config: totals[config] / len(inner) for config in grid}
                 for config in grid:
                     inner_sums[config] += means[config]
                 best = max(grid, key=means.__getitem__)  # ties resolve to the first
                 best_inner = means[best]
             gamma, depth, normalize, cost = best
+            missed = [0]
             (accuracy,) = _cost_sweep(
-                table[gamma, depth], labels, train_idx, test_idx, (cost,), counts, normalize
+                table[gamma, depth], labels, train_idx, test_idx, (cost,), counts, normalize,
+                missed,
             )
+            unconverged[best] += missed[0]
             pick_counts[best] += 1
             outer_accuracies.append(accuracy)
             fold_entries.append(
@@ -402,6 +419,10 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
         "gram_seconds": gram_seconds,
         "gram_psd": gram_psd,
         **counts,
+        "unconverged_by_config": {
+            f"gamma={_label(g)},H={h},normalize={b},C={_label(c)}": unconverged[g, h, b, c]
+            for g, h, b, c in grid
+        },
     }
     config_obj = asdict(cfg)
     for key, value in config_obj.items():

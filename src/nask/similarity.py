@@ -6,10 +6,14 @@ zero-width ranges) are pushed through the exponential transform
 exp(-gamma * (1 - s)) and averaged. The packed form vectorizes this over
 all pairs of elements of two graphs. It stores each kind of dimension
 dimension-major, so every dimension contributes one contiguous
-n_a x n_b plane; the range-scaled planes are added left to right in schema
-order, and the Gram digests pinned in the tests rely on that order. The
-scalar one-pair-at-a-time semantics live in tests/oracles.py as the
-reference it is checked against.
+n_a x n_b plane; the range-scaled planes, then one plane of the
+categorical and zero-range terms, are written into one buffer and added
+left to right in that order, and the Gram digests pinned in the tests
+rely on that order. The buffer is bounded by BUFFER_BYTES: past it the
+planes go in chunks, with the running sum carried in the buffer's first
+slot, so the order and every bit are the same at any bound. The scalar
+one-pair-at-a-time semantics live in tests/oracles.py as the reference it
+is checked against.
 """
 
 from __future__ import annotations
@@ -22,6 +26,11 @@ import numpy as np
 
 from .errors import ConfigError, SchemaError, is_real
 from .graph import CATEGORICAL, DimensionSpec, vector_columns
+
+# Most bytes similarity_matrix's plane buffer takes, unless two planes are
+# larger: 64 MiB hold all 19 planes of two 600-element sets with a
+# categorical and 18 range-scaled dimensions.
+BUFFER_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -105,10 +114,14 @@ def similarity_matrix(a: PackedAttrs, b: PackedAttrs, p: SimilarityParams) -> np
     """All-pairs element similarity between two packed attribute sets.
 
     Each range-scaled dimension gives one n_a x n_b plane of
-    exp(-gamma * min(|x - y|, 1)), and the planes are added left to right
-    in schema order. The categorical and zero-range terms are then added
-    as one lookup in `_match_table` by each pair's match counts, and the
-    sum is divided by the dimension count.
+    exp(-gamma * min(|x - y|, 1)), in schema order, and the categorical
+    and zero-range terms give one more plane, one lookup in `_match_table`
+    by each pair's match counts. The planes are written into one buffer
+    and added left to right, and the sum is divided by the dimension
+    count. The buffer takes at most BUFFER_BYTES, or two planes where one
+    plane is larger: past that, the planes go in chunks whose slot 0
+    carries the running sum, so the order of the additions, and every
+    bit, stays the same whatever the bound.
     """
     if a.kind_widths != b.kind_widths:
         raise SchemaError("packed attribute sets disagree on their dimensions")
@@ -116,22 +129,48 @@ def similarity_matrix(a: PackedAttrs, b: PackedAttrs, p: SimilarityParams) -> np
         raise SchemaError("element similarity needs at least one declared dimension")
     if a.count == 0 or b.count == 0:
         return np.zeros((a.count, b.count))
-    planes = np.subtract(a.num_scaled[:, :, None], b.num_scaled[:, None, :])
-    np.abs(planes, out=planes)
-    np.minimum(planes, 1.0, out=planes)
-    planes *= -p.gamma
-    np.exp(planes, out=planes)
-    acc = np.add.reduce(planes, axis=0)  # zeros when there are no planes
-    n_cat, n_exact, _ = a.kind_widths
-    if n_cat or n_exact:
-        size = (n_cat + 1) * (n_exact + 1)  # of the table; the dtype holds it
-        dtype = np.min_scalar_type(size)
-        eq = np.empty((n_cat + n_exact, a.count, b.count), dtype)
-        np.equal(a.match[:, :, None], b.match[:, None, :], out=eq)
-        if n_cat and n_exact:
-            eq[:n_cat] *= n_exact + 1
-        index = np.add.reduce(eq, axis=0, dtype=dtype)
-        floor = math.exp(-p.gamma)  # transformed value of an exact mismatch
-        acc += _match_table(n_cat, n_exact, floor)[index]
+    n_cat, n_exact, n_scaled = a.kind_widths
+    total = n_scaled + (n_cat + n_exact > 0)  # planes, the match term last
+    slots = min(total, max(2, BUFFER_BYTES // (8 * a.count * b.count)))
+    buf = np.empty((slots, a.count, b.count))
+    _fill(buf, a, b, p, 0, slots)
+    done = slots
+    while done < total:  # fold the chunk into slot 0, then refill the others
+        for plane in buf[1:]:
+            buf[0] += plane
+        more = min(total - done, slots - 1)
+        buf = buf[:1 + more]
+        _fill(buf[1:], a, b, p, done, done + more)
+        done += more
+    acc = buf[0] if len(buf) == 1 else np.add.reduce(buf, axis=0)
     acc /= a.dim_count
     return acc
+
+
+def _fill(out: np.ndarray, a: PackedAttrs, b: PackedAttrs, p: SimilarityParams,
+          lo: int, hi: int) -> None:
+    """Write planes lo..hi-1 into `out`: the range-scaled ones in schema
+    order, then, as plane n_scaled, the categorical and zero-range term."""
+    n_cat, n_exact, n_scaled = a.kind_widths
+    top = min(hi, n_scaled)
+    if lo < top:
+        planes = out[:top - lo]
+        np.subtract(a.num_scaled[lo:top, :, None], b.num_scaled[lo:top, None, :], out=planes)
+        np.abs(planes, out=planes)
+        np.minimum(planes, 1.0, out=planes)
+        planes *= -p.gamma
+        np.exp(planes, out=planes)
+    if hi > n_scaled:
+        # intp indices, which take reads without converting them
+        if n_cat + n_exact == 1:  # the match itself, 0 or 1
+            index = np.empty((a.count, b.count), np.intp)
+            np.equal(a.match[0, :, None], b.match[0, None, :], out=index)
+        else:
+            dtype = np.min_scalar_type((n_cat + 1) * (n_exact + 1))  # the table's size
+            eq = np.empty((n_cat + n_exact, a.count, b.count), dtype)
+            np.equal(a.match[:, :, None], b.match[:, None, :], out=eq)
+            if n_cat and n_exact:
+                eq[:n_cat] *= n_exact + 1
+            index = np.add.reduce(eq, axis=0, dtype=np.intp)
+        floor = math.exp(-p.gamma)  # transformed value of an exact mismatch
+        _match_table(n_cat, n_exact, floor).take(index, out=out[-1], mode="clip")

@@ -35,10 +35,11 @@ choose:
   formed. Otherwise (a numerical edge dimension) it is E_a P_e E_b^T over
   the edge indicators and the edge similarity matrix.
   The engine contracts a block of depths per product rather than one
-  depth at a time: it stacks the block's levels of each graph, widened to
-  float64 once, into k x n x n arrays, forms every depth's star-pair table
-  with one batched matmul chain, sums each table with one reduction and
-  takes the running totals with one cumulative sum. A block is bounded by
+  depth at a time: it slices the block's levels out of each graph's level
+  stack as one k x n x w float64 array (a widened copy of bool levels, a
+  view of the label counts), forms every depth's star-pair table with one
+  batched matmul chain, sums each table with one reduction and takes the
+  running totals left to right in Python over the sums' one list. A block is bounded by
   bytes, not by a depth count: BLOCK_BYTES over the most a depth's
   widened operands and products take, 8 (n_a + n_b) (n_a + n_b + w_a +
   w_b) bytes with w_a, w_b the widths of the edge rows (E_h or C_h, 0
@@ -64,12 +65,13 @@ are checked against.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Iterator
 
 import numpy as np
 
-from .errors import ConfigError, GramComputeError, SchemaError, is_real
+from .errors import ConfigError, GramComputeError, SchemaError, is_integer, is_real
 from .graph import CATEGORICAL, AttributedGraph, AttributeSchema
 from .similarity import PackedAttrs, SimilarityParams, similarity_matrix
 
@@ -114,12 +116,11 @@ def _column_weights(counts: tuple[int, ...], floor: float) -> np.ndarray:
     return np.array([floor] + [(1.0 - floor) / len(counts)] * sum(counts))
 
 
-def _stack(levels: list, lo: int, hi: int) -> np.ndarray:
-    """Levels lo..hi-1 as one k x n x w float64 array. Bool levels are
-    widened, which copies them; a lone float64 level (C_h) is a view."""
-    if hi - lo == 1:
-        return np.asarray(levels[lo], dtype=np.float64)[None]
-    return np.array(levels[lo:hi], dtype=np.float64)
+def _stack(levels: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Levels lo..hi-1 of a level stack as one C-contiguous k x n x w
+    float64 array: bool levels (B_h, E_h) are widened into a copy, float64
+    ones (C_h) are a view of the stack."""
+    return levels[lo:hi].astype(np.float64, copy=False)
 
 
 class _GraphPack:
@@ -138,8 +139,12 @@ class _GraphPack:
     B_0 = I. With edge elements on, _eincs holds the per-depth edge rows
     the engine contracts: E_h, or C_h = E_h Oe (n x r_e exact integers)
     given edge category counts, Oe being the edges' one-hot rows; with
-    them off it stays empty. levels(depth) grows both lists on first use,
-    to at most n levels, and is where the engines read them.
+    them off it stays empty. Each kind is one level stack, a C-contiguous
+    k x n x w array whose entry h-1 is depth h, so a block of depths is
+    one slice of it; iterating a stack gives the per-depth n x w levels.
+    levels(depth) grows both stacks on first use, to at most n levels,
+    into a new array that the old levels are copied into once, and is
+    where the engines read them.
     Given node category counts too (the feature map), the pack also keeps
     the nodes' one-hot rows and the feature vectors built so far, and only
     the depth-1 ball once those are built.
@@ -168,39 +173,58 @@ class _GraphPack:
         u, w = self._ends
         ball = np.eye(self.n, dtype=bool)
         ball[u, w] = ball[w, u] = True
-        self._balls = [ball]
-        self._eincs = []  # built with the levels, not here
+        self._balls = ball[None]
         self._node_hot = None if node_counts is None else _one_hot(self.nodes, node_counts)
         self._edge_hot = None if edge_counts is None else _one_hot(self.edge_pack, edge_counts)
+        self._eincs = self._no_edge_rows()  # built with the levels, not here
         self._features = None
 
-    def _incidence(self, ball: np.ndarray) -> np.ndarray:
+    def _no_edge_rows(self) -> np.ndarray:
+        """An empty edge-row stack: 0 x n x r_e float64 for the label
+        counts C_h, 0 x n x m bool for E_h, 0 x n x 0 with edges off."""
+        if self._edge_hot is not None:
+            return np.empty((0, self.n, self._edge_hot.shape[1]))
+        width = 0 if self.edge_pack is None else self._ends.shape[1]
+        return np.empty((0, self.n, width), dtype=bool)
+
+    def _incidence(self, ball: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """max(ball[:, u], ball[:, w]), the edges meeting each row of a bool
         ball, written C-ordered: a column gather is F-ordered."""
         u, w = self._ends
-        return np.maximum(ball[:, u], ball[:, w], out=np.empty((self.n, u.size), dtype=bool))
+        if out is None:
+            out = np.empty((self.n, u.size), dtype=bool)
+        return np.maximum(ball[:, u], ball[:, w], out=out)
 
-    def levels(self, depth: int) -> tuple[list, list]:
-        """The balls and, with edge elements on, the edge rows of depths
-        1..min(depth, n), grown on first use; a graph's diameter is below
-        n, so the levels past it repeat the last one bit for bit."""
+    def levels(self, depth: int) -> tuple[np.ndarray, np.ndarray]:
+        """The ball stack and, with edge elements on, the edge-row stack of
+        depths 1..min(depth, n), grown on first use; a graph's diameter is
+        below n, so the levels past it repeat the last one bit for bit."""
         count = min(depth, self.n)
-        while len(self._balls) < count:
-            step = self._balls[-1].astype(np.float64) @ self._balls[0].astype(np.float64)
-            self._balls.append(step > 0)
-        while self.edge_pack is not None and len(self._eincs) < count:
-            h = len(self._eincs)  # E_{h+1} is read off B_h, and B_0 = I
-            rows = self._incidence(self._balls[h - 1] if h else np.eye(self.n, dtype=bool))
-            if self._edge_hot is not None:
-                rows = rows.astype(np.float64) @ self._edge_hot
-            self._eincs.append(rows)
+        if len(self._balls) < count:
+            balls = np.empty((count, self.n, self.n), dtype=bool)
+            balls[:len(self._balls)] = self._balls
+            one = balls[0].astype(np.float64)
+            for h in range(len(self._balls), count):
+                np.greater(balls[h - 1].astype(np.float64) @ one, 0, out=balls[h])
+            self._balls = balls
+        have = len(self._eincs)
+        if self.edge_pack is not None and have < count:
+            rows = np.empty((count,) + self._eincs.shape[1:], dtype=self._eincs.dtype)
+            rows[:have] = self._eincs
+            for h in range(have, count):  # E_{h+1} is read off B_h, and B_0 = I
+                ball = self._balls[h - 1] if h else np.eye(self.n, dtype=bool)
+                if self._edge_hot is None:
+                    self._incidence(ball, out=rows[h])
+                else:
+                    rows[h] = self._incidence(ball).astype(np.float64) @ self._edge_hot
+            self._eincs = rows
         return self._balls[:count], self._eincs[:count]
 
     def family(self, depth: int):
         """Indicator matrices (B_h, E_h) for the given depth."""
         if depth < 1:
             raise ConfigError(f"family depth must be >= 1, got {depth}")
-        balls = [np.eye(self.n, dtype=bool)] + self.levels(depth)[0]  # B_0 = I, then B_1..
+        balls = [np.eye(self.n, dtype=bool), *self.levels(depth)[0]]  # B_0 = I, then B_1..
         edges = self._incidence(balls[max(len(balls) - 2, 0)])
         return balls[-1].astype(np.float64), edges.astype(np.float64)
 
@@ -211,7 +235,8 @@ class _GraphPack:
         one-hot rows and C_h the edge-label counts; products of 0/1 and
         integer matrices, so every entry is an exact integer whatever the
         BLAS. Rows past |V| are zero. All levels but the depth-1 ball are
-        dropped afterwards: the counts hold all this engine needs of them.
+        dropped afterwards, into fresh arrays that hold no view of the old
+        stacks: the counts hold all this engine needs of them.
         """
         if self._features is None or len(self._features) < depth:
             nodes, edges = self._node_hot, self._edge_hot
@@ -223,7 +248,7 @@ class _GraphPack:
                 if edges is not None:
                     parts.append((nodes.T @ rows[h]).ravel())
                 self._features[h] = np.concatenate(parts)
-            del self._balls[1:], self._eincs[:]
+            self._balls, self._eincs = self._balls[:1].copy(), self._no_edge_rows()
         return self._features[:depth]
 
     def warm(self, depth: int) -> None:
@@ -312,8 +337,8 @@ class KernelContext:
         Entry h-1 sums depths 1..min(h, |Va|, |Vb|), so past the per-pair
         cap the total repeats, and the last entry is the depth-H kernel.
         """
-        if max_depth < 1:
-            raise ConfigError(f"max_depth must be >= 1, got {max_depth}")
+        if not is_integer(max_depth) or max_depth < 1:
+            raise ConfigError(f"max_depth must be an integer >= 1, got {max_depth!r}")
         pa, pb = self.register(ga), self.register(gb)
         if self.feature_weights is not None:
             totals = self.feature_totals(pa.features(max_depth), pb.features(max_depth)[:, None])
@@ -328,9 +353,9 @@ class KernelContext:
         count = min(len(balls_a), len(balls_b))  # min(H, |Va|, |Vb|)
         # a depth's operands and products, node and edge, take at most
         # 8 (n_a + n_b) (n_a + n_b + w_a + w_b) bytes, w being the edge rows' widths
-        size = pa.n + pb.n + sum(rows[0].shape[1] for rows in (rows_a, rows_b) if rows)
+        size = pa.n + pb.n + rows_a.shape[2] + rows_b.shape[2]
         step = max(1, BLOCK_BYTES // max(1, 8 * (pa.n + pb.n) * size))
-        sums = np.empty(count)
+        sums = []
         for lo in range(0, count, step):
             hi = min(lo + step, count)
             # unnamed operands are freed as soon as a product has read them
@@ -343,8 +368,8 @@ class KernelContext:
                 m += (_stack(rows_a, lo, hi) @ p_edges
                       @ _stack(rows_b, lo, hi).transpose(0, 2, 1))
             m *= weights
-            np.add.reduce(m.reshape(hi - lo, -1), axis=1, out=sums[lo:hi])
-        totals = np.add.accumulate(sums).tolist()  # left to right, as a running total
+            sums += np.add.reduce(m.reshape(hi - lo, -1), axis=1).tolist()
+        totals = list(itertools.accumulate(sums))  # left to right, as a running total
         return totals + (totals[-1:] or [0.0]) * (max_depth - count)
 
     def gram_rows(self, graphs: list, lo: int, hi: int, depth: int) -> Iterator[np.ndarray]:

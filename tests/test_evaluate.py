@@ -253,6 +253,20 @@ class TestCrossValidate:
         pinned = (report.results_digest(), report.environment["convergence_warnings"])
         assert pinned == PINNED_FULL
 
+    def test_unconverged_machines_are_counted_per_grid_point(self):
+        cfg = CvConfig(folds=3, repeats=1, seed=5, gammas=(0.5, 2.0), depths=(1, 2),
+                       costs=(0.01, 100.0))
+        report = cross_validate(noisy_dataset(), cfg)
+        env = report.environment
+        by_config = env["unconverged_by_config"]
+        assert list(by_config) == [
+            f"gamma={g},H={h},normalize={b},C={c}"
+            for g in ("0.5", "2") for h in (1, 2) for b in (True, False) for c in ("0.01", "100")
+        ]
+        assert sum(by_config.values()) == env["convergence_warnings"] == PINNED_FULL[1]
+        assert report.results_digest() == PINNED_FULL[0]
+        assert "unconverged_by_config" not in json.dumps(report.results_obj())
+
     def test_unsorted_cost_grid_matches_pinned_digest(self):
         cfg = CvConfig(folds=3, repeats=1, seed=7, gammas=(0.5, 2.0), depths=(1, 2),
                        costs=(10.0, 0.01, 1.0))

@@ -100,7 +100,8 @@ class TestLevels:
         schema = synth.mixed_schema(n_cat=1, n_num=0, edge_cat=1)
         empty, single = graph_with(0, 0, [], []), graph_with(1, 1, [], [(0,)], {})
         ctx = KernelContext(schema, tau=tau)
-        assert ctx.register(empty).levels(3) == ([], [])
+        balls, rows = ctx.register(empty).levels(3)
+        assert len(balls) == len(rows) == 0
         ball, einc = ctx.register(empty).family(3)
         assert ball.shape == (0, 0) and einc.shape == (0, 0)
         assert ctx.pair_value(empty, single, 3) == [0.0] * 3
@@ -156,7 +157,7 @@ class TestMatrixFamilyAgreement:
                     want = oracle_edge_rows(g, schema, family)
                     assert np.array_equal(pack.levels(depth)[1][-1], want)
             if mode == "off":
-                assert pack.edge_pack is None and pack._eincs == []
+                assert pack.edge_pack is None and pack._eincs.size == 0
 
 
 class TestIndicatorMemory:
@@ -174,7 +175,7 @@ class TestIndicatorMemory:
         n, m = pack.n, pack.graph.num_edges
         balls, rows = pack.levels(5)
         assert len(balls) == len(rows) == 5 and m > 0
-        for x in balls + rows:
+        for x in [*balls, *rows]:
             assert x.dtype == np.bool_ and x.flags.c_contiguous
         assert [x.shape for x in rows] == [(n, m)] * 5
         cached = sum(x.nbytes for x in pack._balls) + sum(x.nbytes for x in pack._eincs)

@@ -126,7 +126,7 @@ class TestAgainstOracles:
         ga, gb = cat9.graphs[3], cat9.graphs[4]  # 4 nodes each
         pack = KernelContext(cat9.schema).register(ga)
         pack.features(DEEPEST)
-        assert len(pack._balls) == 1 and pack._eincs == []
+        assert len(pack._balls) == 1 and pack._eincs.size == 0
         # depth 4 after depth 2 regrows levels 2..4 from the depth-1 ball
         ctx = KernelContext(cat9.schema)
         shallow = ctx.pair_value(ga, gb, 2)

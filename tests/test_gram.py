@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from nask import gram as gram_module
+from nask import similarity as similarity_module
 from nask import stars
 from nask.datasets import compute_ranges
 from nask.errors import (
@@ -516,6 +517,15 @@ class TestCheckPsd:
 def test_the_depth_block_bound_changes_no_bit(monkeypatch, name, block_bytes):
     # 1 byte contracts one depth a product, 2**40 every depth at once
     monkeypatch.setattr(stars, "BLOCK_BYTES", block_bytes)
+    assert sha256(pinned_gram(name)) == PINNED_GRAM_SHA256[name]
+
+
+@pytest.mark.parametrize("buffer_bytes", [1, 2**40])
+@pytest.mark.parametrize("name", sorted(PINNED_GRAM_SHA256))
+def test_the_plane_bound_changes_no_bit(monkeypatch, name, buffer_bytes):
+    # 1 byte adds one similarity plane at a time onto the running sum,
+    # 2**40 writes every plane into one buffer
+    monkeypatch.setattr(similarity_module, "BUFFER_BYTES", buffer_bytes)
     assert sha256(pinned_gram(name)) == PINNED_GRAM_SHA256[name]
 
 

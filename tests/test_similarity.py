@@ -2,11 +2,16 @@
 packed all-pairs path, against frozen constants and the scalar oracle."""
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from nask import similarity as similarity_module
 from nask.errors import ConfigError, SchemaError
 from nask.graph import AttributeVector, DimensionSpec
 from nask.similarity import PackedAttrs, SimilarityParams, _match_table, similarity_matrix
@@ -56,7 +61,7 @@ def per_dimension_loop(dims, xs, ys, gamma) -> np.ndarray:
         if matches[kind]:
             eq = np.sum(matches[kind], axis=0)
             total = total + (eq + (len(matches[kind]) - eq) * floor)
-    scaled = planes[0]
+    scaled = planes[0] if planes else 0.0
     for plane in planes[1:]:
         scaled = scaled + plane
     return (total + scaled) / len(dims)
@@ -243,9 +248,16 @@ class TestPackedPath:
                 SimilarityParams(),
             )
 
+    # one buffer for every plane; two slots, one plane added at a time;
+    # three slots, so chunks of two planes
+    @pytest.mark.parametrize("buffer_bytes", [2**40, 1, 3 * 8 * 9 * 7],
+                             ids=["one-buffer", "one-plane", "two-planes"])
     @pytest.mark.parametrize("n_scaled", [1, 2, 7, 8, 18])
-    def test_matrix_equals_per_dimension_loop_bit_for_bit(self, n_scaled):
-        # the Gram digests pinned in test_gram rely on this summation order
+    def test_matrix_equals_per_dimension_loop_bit_for_bit(self, monkeypatch, n_scaled,
+                                                          buffer_bytes):
+        # the Gram digests pinned in test_gram rely on this summation order,
+        # whatever the plane buffer's bound
+        monkeypatch.setattr(similarity_module, "BUFFER_BYTES", buffer_bytes)
         rng = np.random.default_rng(40 + n_scaled)
         scaled = [DimensionSpec(f"x{k}", "numerical", range_min=-1.0, range_max=3.0)
                   for k in range(n_scaled)]
@@ -268,6 +280,21 @@ class TestPackedPath:
             for j, y in enumerate(ys):
                 assert mat[i, j] == pytest.approx(
                     oracles.ref_element_P(dims, x, y, gamma), rel=1e-12)
+
+    @pytest.mark.parametrize("buffer_bytes", [2**40, 1])
+    @pytest.mark.parametrize("n_cat,n_exact", [(1, 0), (0, 1), (0, 2), (3, 0), (2, 3)])
+    def test_equality_dimensions_alone_equal_the_loop(self, monkeypatch, n_cat, n_exact,
+                                                      buffer_bytes):
+        # no range-scaled plane: the match term is the only plane
+        monkeypatch.setattr(similarity_module, "BUFFER_BYTES", buffer_bytes)
+        rng = np.random.default_rng(7 + 10 * n_cat + n_exact)
+        dims = (CAT,) * n_cat + (ZERO,) * n_exact
+        xs, ys = ([AttributeVector(tuple(int(rng.integers(3)) if d is CAT
+                                         else float(rng.choice([5.0, 6.0])) for d in dims))
+                   for _ in range(count)] for count in (6, 4))
+        mat = similarity_matrix(PackedAttrs(dims, xs), PackedAttrs(dims, ys),
+                                SimilarityParams(gamma=0.6))
+        assert np.array_equal(mat, per_dimension_loop(dims, xs, ys, 0.6))
 
     @pytest.mark.parametrize("n_cat,n_exact", [(1, 0), (0, 1), (2, 3), (4, 1)])
     def test_match_table_is_shared_read_only_and_equals_its_formula(self, n_cat, n_exact):
@@ -313,3 +340,44 @@ class TestPackedPath:
             eigs = np.linalg.eigvalsh(mat)
             assert eigs[0] >= -1e-10 * max(1.0, eigs[-1])
             assert oracles.cholesky_psd(mat, tol=1e-8)
+
+
+# run in a fresh interpreter with BLAS on one thread; argv holds the
+# directory to import nask from and the bytes of address space to allow
+# beyond what the interpreter holds once the packs are built
+BOUNDED_SIMILARITY = """
+import resource, sys
+sys.path[:0] = sys.argv[1:2]
+import numpy as np
+from nask.graph import AttributeVector, DimensionSpec
+from nask.similarity import PackedAttrs, SimilarityParams, similarity_matrix
+dims = tuple(DimensionSpec(f"x{k}", "numerical", range_min=0.0, range_max=1.0)
+             for k in range(18))
+rng = np.random.default_rng(3)
+a, b = (PackedAttrs(dims, [AttributeVector(tuple(row)) for row in rng.random((3000, 18)).tolist()])
+        for _ in range(2))
+with open("/proc/self/status") as status:
+    kib = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+limit = kib * 1024 + int(sys.argv[2])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+try:
+    out = similarity_matrix(a, b, SimilarityParams())
+except MemoryError:
+    print("MemoryError")
+else:
+    print(out.shape, out.dtype)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads /proc/self/status")
+def test_similarity_of_large_sets_runs_in_bounded_memory():
+    # two 3000-element sets with 18 range-scaled dimensions: all 18 planes at
+    # once would take 1.3 GB, the bounded buffer two planes of 72 MB and the
+    # result one more, inside 512 MiB of address space past the imports
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-c", BOUNDED_SIMILARITY, str(src), str(512 * 2**20)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert run.stdout.split("\n")[0] == "(3000, 3000) float64"

@@ -77,6 +77,22 @@ class TestContextValidation:
         with pytest.raises(ConfigError, match="max_depth"):
             KernelContext(schema).pair_value(g0, g1, 0)
 
+    @pytest.mark.parametrize("depth", [True, 2.5, 2.0, "2", None])
+    @pytest.mark.parametrize("tau", [0.0, 0.5], ids=["feature-map", "indicator"])
+    def test_pair_value_needs_an_integer_depth(self, single_edge_pair, depth, tau):
+        # as ExpansionPlan does: a bool is not a depth, and no other type is cast
+        schema, g0, g1 = single_edge_pair
+        with pytest.raises(ConfigError, match="max_depth"):
+            KernelContext(schema, tau=tau).pair_value(g0, g1, depth)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5], ids=["feature-map", "indicator"])
+    def test_pair_value_takes_numpy_integers(self, single_edge_pair, tau):
+        schema, g0, g1 = single_edge_pair
+        ctx = KernelContext(schema, tau=tau)
+        want = ctx.pair_value(g0, g1, 3)
+        for depth in (np.int64(3), np.int32(3), np.uint8(3)):
+            assert ctx.pair_value(g0, g1, depth) == want
+
     def test_conflicting_graph_ids_rejected(self, cat_schema):
         ctx = KernelContext(cat_schema)
         ctx.register(graph_with(0, 2, [(0, 1)], [(0,), (0,)]))
