@@ -12,8 +12,8 @@ at 17 significant digits (bit-exact round trip).
 The Gram path holds no whole copy of a matrix it does not need: the
 tables compute_gram fills, the buffer normalize_gram forms and the table
 import_gram parses become read-only Grams in place, while a caller's array
-given to GramMatrix is still copied. import_gram streams files that hold
-only what export_gram writes (see there).
+given to GramMatrix is still copied. import_gram reads a file a line at a
+time and parses its rows as they stream past (see there).
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ import json
 import math
 import multiprocessing
 import warnings
+from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -331,110 +333,86 @@ def export_gram(gram: GramMatrix, path) -> Path:
     return path
 
 
-# the line breaks str.splitlines honours besides "\n" that are ASCII (it
-# also breaks at "\x85", "\u2028" and "\u2029"); np.loadtxt reads them as
-# whitespace
-_ODD_BREAKS = b"\r\v\f\x1c\x1d\x1e"
-_ROW_BYTES = b"0123456789+-.e \n"  # every byte export_gram writes in a row
-_SCAN_CHUNK = 1 << 20
-
-
 def import_gram(path) -> GramMatrix:
     """Parse a Gram file, checking version, shape, and symmetry.
 
-    A file that holds only what export_gram writes is streamed: no copy of
-    its text is held (see _read_streamed). Every other file, and every file
-    whose rows np.loadtxt rejects or reads as not n x n or not finite, is
-    read whole and split into lines, which decides it as the line-based
-    reader always has and names the first bad line.
+    One pass reads the file a line at a time (see _lines): the first three
+    lines give the header, and one np.loadtxt call parses the rest as they
+    stream past, so no copy of the text is held beside the table. Only when
+    the row count is not n, or the parse fails or gives a table that is not
+    n x n or not finite, is the file read again, its rows scanned one by one
+    to name the first bad line.
     """
     path = Path(path)
-    meta, values = _read_streamed(path) or _read_lines(path)
+    try:
+        with path.open("rb") as file:
+            lines = _lines(path.name, file)
+            meta, n = _header(path.name, list(islice(lines, 3)))
+            count, values = _parse(lines)
+        if count != n:
+            raise GramFormatError(
+                f"{path.name}: dimension mismatch, expected {n} rows, found {count}"
+            )
+        if values is None or values.shape != (n, n) or not np.isfinite(values).all():
+            with path.open("rb") as file:
+                values = _scan_rows(path.name, islice(_lines(path.name, file), 3, None), n)
+    except OSError as exc:
+        raise GramFormatError(f"cannot read {path}: {exc}") from exc
     try:
         return _own(values, meta)
     except InvalidGramError as exc:  # n x n, so only symmetry can fail
         raise GramFormatError(f"{path.name}: matrix is not symmetric as stored") from exc
 
 
-def _read_streamed(path: Path) -> tuple[GramMeta, np.ndarray] | None:
-    """(meta, values) of a Gram file whose rows np.loadtxt parses from the
-    open file, or None when the line-based reader must decide it.
+def _lines(name: str, file) -> Iterator[str]:
+    """The lines str.splitlines gives of a binary file's UTF-8 text, trailing
+    blank lines dropped.
 
-    The three header lines must be ASCII, free of the other line breaks
-    str.splitlines honours, and end in "\n", the third not blank: then they
-    are the line-based reader's first three lines, and every header error is
-    raised here as it would be there. A chunked byte scan then checks that
-    the rest holds only bytes export_gram writes in a row, in exactly n
-    lines; a blank line among them leaves np.loadtxt fewer than n rows.
+    Each piece of bytes up to a 0x0A is decoded and split on its own: UTF-8
+    puts no 0x0A byte inside a character, and every other break splitlines
+    honours lies inside one piece.
     """
-    try:
-        with path.open("rb") as file:
-            head = [file.readline() for _ in range(3)]
-            if not all(
-                line.endswith(b"\n") and line.isascii() and not any(b in line for b in _ODD_BREAKS)
-                for line in head
-            ):
-                return None
-            lines = [line[:-1].decode("ascii") for line in head]
-            if not lines[2].strip():
-                return None
-            meta, n = _header(path.name, lines)
-            start = file.tell()
-            count, last = 0, b"\n"
-            while chunk := file.read(_SCAN_CHUNK):
-                if chunk.translate(None, _ROW_BYTES):
-                    return None
-                count += chunk.count(b"\n")
-                last = chunk[-1:]
-            if count + (last != b"\n") != n:
-                return None
-            file.seek(start)
-            try:
-                values = np.loadtxt(file, ndmin=2, comments=None)
-            except ValueError:
-                return None
-    except OSError:
-        return None  # the line-based reader reports it
-    if values.shape != (n, n) or not np.isfinite(values).all():
-        return None
-    return meta, values
+    blanks = []
+    for piece in file:
+        try:
+            text = piece.decode()
+        except UnicodeDecodeError as exc:
+            raise GramFormatError(f"{name}: cannot decode the file: {exc}") from exc
+        for line in text.splitlines():
+            if line.strip():
+                yield from blanks
+                blanks.clear()
+                yield line
+            else:
+                blanks.append(line)
 
 
-def _read_lines(path: Path) -> tuple[GramMeta, np.ndarray]:
-    """(meta, values) of a Gram file read whole and split into lines.
+def _parse(rows: Iterator[str]) -> tuple[int, np.ndarray | None]:
+    """How many `rows` there are, and one np.loadtxt call's table of them,
+    or None when it rejects them."""
+    count = 0
 
-    The rows are parsed by one np.loadtxt call. Only when that parse fails,
-    or the table is not n x n or holds a non-finite value, are the rows
-    scanned one by one, to name the first bad line.
-    """
-    try:
-        lines = path.read_text().splitlines()
-    except OSError as exc:
-        raise GramFormatError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise GramFormatError(f"{path.name}: cannot decode the file: {exc}") from exc
-    while lines and not lines[-1].strip():
-        lines.pop()
-    if not lines:
-        raise GramFormatError(f"{path.name}: empty file")
-    meta, n = _header(path.name, lines)
-    rows = lines[3:]
-    if len(rows) != n:
-        raise GramFormatError(
-            f"{path.name}: dimension mismatch, expected {n} rows, found {len(rows)}"
-        )
-    try:
-        # np.loadtxt skips blank lines and reads a subset of what `float` reads
-        values = np.loadtxt(rows, ndmin=2, comments=None)
-    except ValueError:
-        values = None
-    if values is None or values.shape != (n, n) or not np.isfinite(values).all():
-        values = _scan_rows(path.name, rows, n)
-    return meta, values
+    def counted():
+        nonlocal count
+        for count, row in enumerate(rows, 1):
+            yield row
+
+    table, taken = None, counted()
+    if (first := next(taken, None)) is not None:  # np.loadtxt warns on no rows
+        try:
+            # np.loadtxt skips blank lines and reads a subset of what `float` reads
+            table = np.loadtxt(chain([first], taken), ndmin=2, comments=None)
+        except ValueError:
+            for _ in taken:  # the rows past the one rejected, to count them
+                pass
+    return count, table
 
 
 def _header(name: str, lines: list[str]) -> tuple[GramMeta, int]:
-    """Metadata and dimension from a Gram file's lines (at least one)."""
+    """Metadata and dimension from a Gram file's first three lines (fewer
+    in a short file)."""
+    if not lines:
+        raise GramFormatError(f"{name}: empty file")
     if lines[0] != _HEADER:
         raise GramFormatError(
             f"{name}:1: unsupported version {lines[0]!r} (expected {_HEADER!r})"
@@ -457,7 +435,7 @@ def _header(name: str, lines: list[str]) -> tuple[GramMeta, int]:
     return meta, n
 
 
-def _scan_rows(name: str, rows: list[str], n: int) -> np.ndarray:
+def _scan_rows(name: str, rows: Iterable[str], n: int) -> np.ndarray:
     """The n x n values of a Gram file's rows, read one line at a time with
     `float`; raises GramFormatError at the first line with the wrong field
     count, a field `float` rejects, or a non-finite value."""

@@ -590,8 +590,8 @@ def _set_fields(text: str, value: str, both: bool = True) -> str:
     return "\n".join(lines)
 
 
-# files the byte scan sends to the line-based reader, with the outcome
-# that reader gives: the exported values, or the error message
+# files that hold more than export_gram writes, with the outcome import_gram
+# gives: the exported values, or the error message
 _MISMATCH = "g.gram: dimension mismatch, expected 2 rows, found 3"
 ODD_GRAM_FILES = {
     **{f"break {ord(c):#x} in a row": (lambda t, c=c: _in_row(t, 0, " ", c), _MISMATCH)
@@ -611,6 +611,13 @@ ODD_GRAM_FILES = {
                         "'\\ufeffNASK-GRAM v1' (expected 'NASK-GRAM v1')"),
     "blank dimension line, no rows": (lambda t: "\n".join(t.split("\n")[:2]) + "\n\n",
                                       "g.gram: truncated file (line 3)"),
+    "CR-only line ends": (lambda t: t.replace("\n", "\r"), None),
+    "CR inside a row": (lambda t: _in_row(t, 0, " ", "\r"), _MISMATCH),
+    "header only": (lambda t: "\n".join(t.split("\n")[:3]) + "\n",
+                    "g.gram: dimension mismatch, expected 2 rows, found 0"),
+    "break 0x85 in the version line": (lambda t: t.replace(" v1", "\x85v1", 1),
+                                       "g.gram:1: unsupported version 'NASK-GRAM' "
+                                       "(expected 'NASK-GRAM v1')"),
 }
 
 
@@ -767,6 +774,28 @@ class TestFileFormat:
         path.write_bytes(b"NASK-GRAM v0" + path.read_bytes()[len(b"NASK-GRAM v1"):])
         with pytest.raises(GramFormatError, match="unsupported version 'NASK-GRAM v0'"):
             import_gram(path)
+
+    def test_a_bad_header_is_named_before_undecodable_rows(self, tmp_path):
+        # the three header lines are decided before any row is decoded, even
+        # when the header itself is not ASCII
+        path = export_gram(compute_gram(small_dataset(count=2)), tmp_path / "g.gram")
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = "\u00e9".encode() + lines[1]
+        lines[4] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(GramFormatError, match=r"^g\.gram:2: metadata parse failure: "):
+            import_gram(path)
+
+    def test_a_file_without_rows_raises_no_warning(self, tmp_path):
+        path = export_gram(compute_gram(small_dataset(count=2)), tmp_path / "g.gram")
+        header = "".join(path.read_text().splitlines(keepends=True)[:3])
+        for rows in ("", "\n \n"):
+            path.write_text(header + rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(GramFormatError) as info:
+                    import_gram(path)
+            assert str(info.value) == "g.gram: dimension mismatch, expected 2 rows, found 0"
 
     def test_gram_matrix_requires_exact_symmetry(self):
         ds = small_dataset(count=2)
