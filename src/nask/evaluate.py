@@ -17,7 +17,8 @@ cross-validation on the training portion only. A run takes three steps:
    the box for the larger costs. `environment` counts the fresh fits, the
    reused ones, the SMO updates, and the machines that hit their update
    cap (`convergence_warnings`), in all and per grid point
-   (`unconverged_by_config`).
+   (`unconverged_by_config`), and the seconds all sweeps took
+   (`svm_seconds`).
 3. Selection averages each grid point's inner accuracies and picks the
    first maximum in the canonical grid order.
 """
@@ -40,7 +41,7 @@ from .expansion import ExpansionPlan
 from .gram import _cosine, _positive_diagonal, check_psd, compute_gram
 from .similarity import SimilarityParams
 from .stars import EDGE_MODES, check_tau
-from .svm import predict, train_ovr
+from .svm import KernelBlock, predict, train_ovr
 from .version import __version__
 
 TRANSDUCTIVE_NOTE = (
@@ -261,7 +262,8 @@ def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict, normal
     """Held-out accuracy of one fit per cost, in `costs` order, on blocks
     sliced once from the raw Gram `values`. With `normalize`, both blocks
     are cosine-normalized by the Gram's diagonal: the same bits as slicing
-    normalize_gram's values.
+    normalize_gram's values. The training block is prepared once, as a
+    KernelBlock, for every fit.
 
     Costs are walked in ascending order. A fit whose every machine peaked
     strictly below its own C never touched the box, so it is the fit at any
@@ -278,6 +280,7 @@ def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict, normal
         train_block = _cosine(train_block, diag[train_idx], diag[train_idx])
         eval_block = _cosine(eval_block, diag[eval_idx], diag[train_idx])
     train_labels, eval_labels = labels[train_idx], labels[eval_idx]
+    block = KernelBlock(train_block, train_labels)
     accuracies = [0.0] * len(costs)
     model = None
     with warnings.catch_warnings():
@@ -286,7 +289,7 @@ def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict, normal
             if model is not None and all(m.peak < model.C for m in model.machines):
                 counts["svm_reused_fits"] += 1
             else:
-                model = train_ovr(train_block, train_labels, costs[k])
+                model = train_ovr(block, train_labels, costs[k])
                 accuracy = float(np.mean(predict(model, eval_block) == eval_labels))
                 counts["svm_fits"] += 1
                 counts["svm_updates"] += sum(m.iterations for m in model.machines)
@@ -322,6 +325,7 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
     )
     gram_seconds: dict = {}
     gram_psd: dict = {}
+    svm_seconds = 0.0
     if cfg.range_mode == "full":
         table = _kernel_table(compute_ranges(ds), cfg, "", gram_seconds, gram_psd)
 
@@ -364,10 +368,12 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                     for (gamma, depth), values in table.items():
                         for normalize in cfg.normalize_options:
                             missed = [0] * len(cfg.costs)
+                            swept = time.perf_counter()
                             accuracies = _cost_sweep(
                                 values, labels, inner_train, val_idx, cfg.costs, counts,
                                 normalize, missed,
                             )
+                            svm_seconds += time.perf_counter() - swept
                             for cost, accuracy, count in zip(cfg.costs, accuracies, missed):
                                 totals[gamma, depth, normalize, cost] += accuracy
                                 unconverged[gamma, depth, normalize, cost] += count
@@ -378,10 +384,12 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                 best_inner = means[best]
             gamma, depth, normalize, cost = best
             missed = [0]
+            swept = time.perf_counter()
             (accuracy,) = _cost_sweep(
                 table[gamma, depth], labels, train_idx, test_idx, (cost,), counts, normalize,
                 missed,
             )
+            svm_seconds += time.perf_counter() - swept
             unconverged[best] += missed[0]
             pick_counts[best] += 1
             outer_accuracies.append(accuracy)
@@ -417,6 +425,7 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "total_seconds": round(time.perf_counter() - started, 6),
         "gram_seconds": gram_seconds,
+        "svm_seconds": round(svm_seconds, 6),
         "gram_psd": gram_psd,
         **counts,
         "unconverged_by_config": {

@@ -13,6 +13,13 @@ bit. A fit that hits its update cap warns and returns with `converged`
 false. Models store only what prediction needs: support indices, dual
 coefficients, and the bias.
 
+A KernelBlock checks a kernel block and its labels and lays them out for
+the solver once: kernel columns as a list of row views, the diagonal as
+Python floats, and each machine's +-1 labels with its starting yg rows.
+`train_ovr` takes one in place of an array, so a sweep over costs pays
+for that once per block; fits on a block are those on its array, bit for
+bit.
+
 A fresh machine also records its `peak`, the largest tentative value of
 its updates: every alpha right after the analytic step, and every
 same-sign total alpha_i + alpha_j. C enters the solver only through
@@ -75,19 +82,69 @@ class SvmModel:
         return all(m.converged for m in self.machines)
 
 
-def _kernel(K, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """K (an array or a Gram) as a float64 array, and the array whose row k
-    is column k of K: K itself when K is exactly symmetric, else one
-    transposed copy. Raises SvmError on a shape other than n x n and names
-    the first entry that is not finite."""
-    K = np.asarray(getattr(K, "values", K), dtype=np.float64)
-    if K.ndim != 2 or K.shape != (n, n):
-        raise SvmError(f"kernel block of shape {K.shape} for {n} labels")
-    finite = np.isfinite(K)
-    if not finite.all():
-        i, j = divmod(int(finite.argmin()), n)
-        raise SvmError(f"kernel entry ({i}, {j}) is {K.item(i, j)}, not finite")
-    return K, K if np.array_equal(K, K.T) else np.ascontiguousarray(K.T)
+class KernelBlock:
+    """A training block and its labels, checked and laid out once for any
+    number of fits.
+
+    It holds K as a float64 array; `cols`, a list whose item k is column k
+    of K as a row view (of K itself when K is exactly symmetric, else of one
+    transposed copy); K's diagonal as Python floats; the labels and their
+    classes; and per machine its positive class with its +-1 targets. Two
+    classes make a single machine for the second class. train_ovr takes a
+    block in place of K, so a cost sweep pays for this once per block, not
+    once per cost. Raises SvmError on a shape other than n x n, naming the
+    first entry of K that is not finite or the first non-integral label,
+    and DegenerateClassError on fewer than 2 classes.
+    """
+
+    __slots__ = ("K", "cols", "diag", "labels", "classes", "machines")
+
+    def __init__(self, K, labels):
+        labels = np.asarray(labels)
+        n = labels.shape[0]
+        K = np.asarray(getattr(K, "values", K), dtype=np.float64)
+        if K.ndim != 2 or K.shape != (n, n):
+            raise SvmError(f"kernel block of shape {K.shape} for {n} labels")
+        finite = np.isfinite(K)
+        if not finite.all():
+            i, j = divmod(int(finite.argmin()), n)
+            raise SvmError(f"kernel entry ({i}, {j}) is {K.item(i, j)}, not finite")
+        values = np.unique(labels)
+        if values.dtype.kind == "f":
+            bad = values[~np.isfinite(values) | (values != np.trunc(values))]
+            if bad.size:
+                raise SvmError(f"label values must be integral, got {bad[0].item()!r}")
+        classes = tuple(int(v) for v in values)
+        if len(classes) < 2:
+            raise DegenerateClassError(f"need at least 2 classes, got {len(classes)}")
+        self.K = K
+        self.cols = list(K if np.array_equal(K, K.T) else np.ascontiguousarray(K.T))
+        self.diag = K.diagonal().tolist()
+        self.labels, self.classes = labels, classes
+        self.machines = tuple(
+            (c, _targets(np.where(labels == c, 1.0, -1.0)))
+            for c in (classes[1:] if len(classes) == 2 else classes)
+        )
+
+
+def _targets(y: np.ndarray) -> tuple:
+    """Labels y in {-1, +1} as the solver reads them: the array, its Python
+    floats, and the two yg rows at alpha = 0. Every alpha is below C, so
+    every index is in `up` when y is +1 and in `lo` when y is -1; the
+    gradient of (1/2 a'Qa - sum a) starts at -1, so yg starts at y."""
+    return y, y.tolist(), np.where([y > 0, y < 0], y, [[-np.inf], [np.inf]])
+
+
+def _limits(C, tol, max_passes, n: int) -> tuple:
+    """C, tol and the update cap (default 10n), checked; ConfigError names
+    the first bad one."""
+    if not (is_real(C) and math.isfinite(C) and C > 0):
+        raise ConfigError(f"C must be finite and > 0, got {C}")
+    if not (is_real(tol) and math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"tol must be finite and >= 0, got {tol!r}")
+    if max_passes is not None and not (is_integer(max_passes) and max_passes >= 0):
+        raise ConfigError(f"max_passes must be an integer >= 0, got {max_passes!r}")
+    return float(C), tol, 10 * n if max_passes is None else int(max_passes)
 
 
 def train_binary(
@@ -104,40 +161,32 @@ def train_binary(
     exceeding it yields a warning carried in the model, not a failure.
     """
     y = np.asarray(y, dtype=np.float64)
-    return _solve(*_kernel(K, y.shape[0]), y, C, tol, max_passes, positive_class)
-
-
-def _solve(K, cols, y, C, tol, max_passes, positive_class) -> BinarySvm:
-    """train_binary on a checked K whose column k is row k of `cols`."""
-    n = y.shape[0]
     if not np.all(np.abs(y) == 1.0):
         raise SvmError("labels must be -1 or +1")
     if not (y > 0).any() or not (y < 0).any():
         raise DegenerateClassError("both label signs are required for training")
-    if not (is_real(C) and math.isfinite(C) and C > 0):
-        raise ConfigError(f"C must be finite and > 0, got {C}")
-    if not (is_real(tol) and math.isfinite(tol) and tol >= 0):
-        raise ConfigError(f"tol must be finite and >= 0, got {tol!r}")
-    if max_passes is not None and not (is_integer(max_passes) and max_passes >= 0):
-        raise ConfigError(f"max_passes must be an integer >= 0, got {max_passes!r}")
-    max_iter = 10 * n if max_passes is None else int(max_passes)
-    C = float(C)
+    block = KernelBlock(K, y)
+    ((_, targets),) = block.machines  # the +1 class: y itself
+    return _solve(block, targets, *_limits(C, tol, max_passes, y.shape[0]), positive_class)
 
-    Kd = K.diagonal().tolist()
-    signs = y.tolist()
+
+def _solve(block, targets, C, tol, max_iter, positive_class) -> BinarySvm:
+    """One machine on a prepared block, for `_targets` of its labels."""
+    y, signs, start = targets
+    K, cols, Kd = block.K, block.cols, block.diag
+    n = len(signs)
     alpha = [0.0] * n
-    # indices whose y*alpha may still rise (up) or fall (lo), kept in step
-    # with alpha at the two indices each update moves. Neither set is ever
-    # empty: emptying one puts every alpha of one label sign at one bound and
-    # every alpha of the other sign at the opposite bound, which
-    # sum(y * alpha) = 0 rules out when both signs are present.
-    up, lo = [s > 0 for s in signs], [s < 0 for s in signs]
-    # yg = -y * grad on `up` and -inf elsewhere, on `lo` and +inf elsewhere;
-    # the gradient of (1/2 a'Qa - sum a) starts at -1, so yg starts at y.
-    # Every index lies in a set, so each yg is finite in some row.
-    sel = np.where([up, lo], y, [[-np.inf], [np.inf]])
+    # yg = -y * grad on the indices whose y*alpha may still rise (up) and
+    # -inf elsewhere, on those whose y*alpha may still fall (lo) and +inf
+    # elsewhere. Every index lies in a set, so each yg is finite in some
+    # row, and the sentinels are the sets. Neither set is ever empty:
+    # emptying one puts every alpha of one label sign at one bound and every
+    # alpha of the other sign at the opposite bound, which sum(y * alpha) = 0
+    # rules out when both signs are present.
+    sel = start.copy()
     up_yg, lo_yg = sel
     inc, step = np.empty(n), np.empty(n)
+    multiply, add, subtract, inf = np.multiply, np.add, np.subtract, np.inf
     converged = False
     iterations = 0
     peak = 0.0
@@ -150,54 +199,81 @@ def _solve(K, cols, y, C, tol, max_passes, positive_class) -> BinarySvm:
             converged = True
             break
         iterations += 1
+        s_i, s_j = signs[i], signs[j]
         old_i, old_j = alpha[i], alpha[j]
         # + 0.0 turns -0.0 into +0.0: the gradient, a sum starting at -1,
         # never holds -0.0
-        grad_i, grad_j = -signs[i] * yg_i + 0.0, -signs[j] * yg_j + 0.0
+        grad_i, grad_j = -s_i * yg_i + 0.0, -s_j * yg_j + 0.0
         quad = Kd[i] + Kd[j] - 2.0 * K.item(i, j)
         if quad <= 0:
             quad = _TAU
-        if signs[i] != signs[j]:
+        if s_i != s_j:
             # alpha_i - alpha_j is fixed: clip the smaller one at 0, the larger at C
             delta = (-grad_i - grad_j) / quad
             diff = old_i - old_j
-            pair = [old_i + delta, old_j + delta]
-            peak = max(peak, *pair)
-            low, high, gap = (1, 0, diff) if diff > 0 else (0, 1, -diff)
-            if pair[low] < 0:
-                pair[low], pair[high] = 0.0, gap
-            if pair[high] > C:
-                pair[high], pair[low] = C, C - gap
+            new_i, new_j = old_i + delta, old_j + delta
+            if new_i > peak:
+                peak = new_i
+            if new_j > peak:
+                peak = new_j
+            if diff > 0:
+                if new_j < 0:
+                    new_j, new_i = 0.0, diff
+                if new_i > C:
+                    new_i, new_j = C, C - diff
+            else:
+                gap = -diff
+                if new_i < 0:
+                    new_i, new_j = 0.0, gap
+                if new_j > C:
+                    new_j, new_i = C, C - gap
         else:
             # alpha_i + alpha_j is fixed: a total above C clips at C, else at 0
             delta = (grad_i - grad_j) / quad
             total = old_i + old_j
-            pair = [old_i - delta, old_j + delta]
-            peak = max(peak, total, *pair)
-            for a, b in ((0, 1), (1, 0)):
-                if total > C and pair[a] > C:
-                    pair[a], pair[b] = C, total - C
-                elif total <= C and pair[b] < 0:
-                    pair[b], pair[a] = 0.0, total
-        new_i, new_j = pair
-        alpha[i], alpha[j] = pair
-        for k, value, yg_k in ((i, new_i, yg_i), (j, new_j, yg_j)):
-            below, above = value < C, value > 0
-            up[k], lo[k] = (below, above) if signs[k] > 0 else (above, below)
-            up_yg[k] = yg_k if up[k] else -np.inf
-            lo_yg[k] = yg_k if lo[k] else np.inf
+            new_i, new_j = old_i - delta, old_j + delta
+            if total > peak:
+                peak = total
+            if new_i > peak:
+                peak = new_i
+            if new_j > peak:
+                peak = new_j
+            if total > C:
+                if new_i > C:
+                    new_i, new_j = C, total - C
+                if new_j > C:
+                    new_j, new_i = C, total - C
+            else:
+                if new_j < 0:
+                    new_j, new_i = 0.0, total
+                if new_i < 0:
+                    new_i, new_j = 0.0, total
+        alpha[i], alpha[j] = new_i, new_j
+        if s_i > 0:
+            up_yg[i] = yg_i if new_i < C else -inf
+            lo_yg[i] = yg_i if new_i > 0 else inf
+        else:
+            up_yg[i] = yg_i if new_i > 0 else -inf
+            lo_yg[i] = yg_i if new_i < C else inf
+        if s_j > 0:
+            up_yg[j] = yg_j if new_j < C else -inf
+            lo_yg[j] = yg_j if new_j > 0 else inf
+        else:
+            up_yg[j] = yg_j if new_j > 0 else -inf
+            lo_yg[j] = yg_j if new_j < C else inf
         # yg -= K[:, i] (y_i (new_i - old_i)) + K[:, j] (y_j (new_j - old_j))
         # in both rows, in place; the sentinels stay infinite
-        np.multiply(cols[i], signs[i] * (new_i - old_i), out=inc)
-        np.multiply(cols[j], signs[j] * (new_j - old_j), out=step)
-        inc += step
-        sel -= inc
+        multiply(cols[i], s_i * (new_i - old_i), inc)
+        multiply(cols[j], s_j * (new_j - old_j), step)
+        add(inc, step, inc)
+        subtract(sel, inc, sel)
     else:
         warnings.warn(
             f"SMO did not converge within {max_iter} updates (gap above {tol})"
         )
 
-    alpha, up, lo = np.array(alpha), np.array(up), np.array(lo)
+    alpha = np.array(alpha)
+    up, lo = up_yg != -inf, lo_yg != inf
     grad = -y * np.where(up, up_yg, lo_yg) + 0.0
     yg = -y * grad
     free = (alpha > 0) & (alpha < C)
@@ -229,26 +305,24 @@ def train_ovr(
     max_passes: int | None = None,
     gram_digest: str | None = None,
 ) -> SvmModel:
-    """One-vs-rest training; two classes collapse to a single machine."""
-    labels = np.asarray(labels)
-    n = labels.shape[0]
-    K, cols = _kernel(K, n)
-    values = np.unique(labels)
-    if values.dtype.kind == "f":
-        bad = values[~np.isfinite(values) | (values != np.trunc(values))]
-        if bad.size:
-            raise SvmError(f"label values must be integral, got {bad[0].item()!r}")
-    classes = [int(v) for v in values]
-    if len(classes) < 2:
-        raise DegenerateClassError(f"need at least 2 classes, got {len(classes)}")
-    machines = tuple(
-        _solve(K, cols, np.where(labels == c, 1.0, -1.0), C, tol, max_passes, c)
-        for c in (classes[1:] if len(classes) == 2 else classes)
-    )
+    """One-vs-rest training; two classes collapse to a single machine.
+
+    K is an array, a Gram, or a KernelBlock prepared on these labels.
+    """
+    if isinstance(K, KernelBlock):
+        block = K
+        if labels is not block.labels and not np.array_equal(labels, block.labels):
+            raise SvmError("labels differ from the ones the kernel block was prepared on")
+    else:
+        block = KernelBlock(K, labels)
+    n = len(block.diag)
+    C, tol, max_iter = _limits(C, tol, max_passes, n)
     return SvmModel(
-        classes=tuple(classes),
-        machines=machines,
-        C=float(C),
+        classes=block.classes,
+        machines=tuple(
+            _solve(block, targets, C, tol, max_iter, c) for c, targets in block.machines
+        ),
+        C=C,
         n_train=n,
         gram_digest=gram_digest,
     )
@@ -312,32 +386,80 @@ def save_model(model: SvmModel, path) -> Path:
 
 
 def load_model(path) -> SvmModel:
-    """Inverse of save_model; loaded machines keep no full alpha vector."""
+    """Inverse of save_model; loaded machines keep no full alpha vector.
+
+    Raises SvmError naming the first field that is missing or malformed:
+    classes must be at least 2 distinct integers with one machine per class
+    (one for two classes) in their order, and each machine's support must
+    hold integer indices below n_train, one finite dual coefficient each.
+    """
     path = Path(path)
     try:
         obj = json.loads(path.read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise SvmError(f"cannot load model from {path}: {exc}") from exc
-    if obj.get("format") != "nask-svm v1":
-        raise SvmError(f"{path.name}: unsupported model format {obj.get('format')!r}")
-    machines = tuple(
-        BinarySvm(
-            positive_class=m["positive_class"],
-            bias=float(m["bias"]),
-            support=np.asarray(m["support"], dtype=np.int64),
-            dual_coef=np.asarray(m["dual_coef"], dtype=np.float64),
-            C=float(obj["C"]),
-            n_train=int(obj["n_train"]),
-            converged=bool(m["converged"]),
-            iterations=int(m["iterations"]),
-            objective=float(m["objective"]),
-        )
-        for m in obj["machines"]
-    )
+    form = obj.get("format") if isinstance(obj, dict) else None
+    if form != "nask-svm v1":
+        raise SvmError(f"{path.name}: unsupported model format {form!r}")
+
+    def field(owner, where, key, ok, what):
+        if key not in owner:
+            raise SvmError(f"{path.name}: {where}{key} is missing")
+        value = owner[key]
+        if not ok(value):
+            raise SvmError(f"{path.name}: {where}{key} must be {what}, got {value!r}")
+        return value
+
+    def entries(owner, where, key, ok, what):
+        values = field(owner, where, key, lambda v: isinstance(v, list), "a list")
+        for k, value in enumerate(values):
+            if not ok(value):
+                raise SvmError(f"{path.name}: {where}{key}[{k}] must be {what}, got {value!r}")
+        return values
+
+    def finite(value):
+        return is_real(value) and math.isfinite(value)
+
+    classes = entries(obj, "", "classes", is_integer, "an integer")
+    if len(set(classes)) != len(classes) or len(classes) < 2:
+        raise SvmError(f"{path.name}: classes must be at least 2 distinct integers, got {classes!r}")
+    C = float(field(obj, "", "C", lambda v: finite(v) and v > 0, "finite and > 0"))
+    n_train = field(obj, "", "n_train", lambda v: is_integer(v) and v >= 2, "an integer >= 2")
+    gram_digest = obj.get("gram_digest")
+    if gram_digest is not None and not isinstance(gram_digest, str):
+        raise SvmError(f"{path.name}: gram_digest must be a string, got {gram_digest!r}")
+    positives = classes[1:] if len(classes) == 2 else classes
+    stored = field(obj, "", "machines", lambda v: isinstance(v, list) and len(v) == len(positives),
+                   f"a list of {len(positives)} machines for {len(classes)} classes")
+    machines = []
+    for k, (m, positive) in enumerate(zip(stored, positives)):
+        where = f"machines[{k}]."
+        if not isinstance(m, dict):
+            raise SvmError(f"{path.name}: machines[{k}] must be an object, got {m!r}")
+        field(m, where, "positive_class", lambda v: v == positive and is_integer(v),
+              f"class {positive}")
+        support = entries(m, where, "support", lambda v: is_integer(v) and 0 <= v < n_train,
+                          f"an integer index below n_train = {n_train}")
+        dual_coef = entries(m, where, "dual_coef", finite, "finite")
+        if len(dual_coef) != len(support):
+            raise SvmError(f"{path.name}: {where}dual_coef holds {len(dual_coef)} values "
+                           f"for {len(support)} support indices")
+        machines.append(BinarySvm(
+            positive_class=positive,
+            bias=float(field(m, where, "bias", finite, "finite")),
+            support=np.asarray(support, dtype=np.int64),
+            dual_coef=np.asarray(dual_coef, dtype=np.float64),
+            C=C,
+            n_train=n_train,
+            converged=field(m, where, "converged", lambda v: isinstance(v, bool), "a bool"),
+            iterations=field(m, where, "iterations", lambda v: is_integer(v) and v >= 0,
+                             "an integer >= 0"),
+            objective=float(field(m, where, "objective", finite, "finite")),
+        ))
     return SvmModel(
-        classes=tuple(obj["classes"]),
-        machines=machines,
-        C=float(obj["C"]),
-        n_train=int(obj["n_train"]),
-        gram_digest=obj.get("gram_digest"),
+        classes=tuple(classes),
+        machines=tuple(machines),
+        C=C,
+        n_train=n_train,
+        gram_digest=gram_digest,
     )

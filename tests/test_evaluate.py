@@ -266,6 +266,9 @@ class TestCrossValidate:
         assert sum(by_config.values()) == env["convergence_warnings"] == PINNED_FULL[1]
         assert report.results_digest() == PINNED_FULL[0]
         assert "unconverged_by_config" not in json.dumps(report.results_obj())
+        # the sweep time sits beside the Gram times, outside the digest
+        assert env["svm_seconds"] > 0 and env["gram_seconds"]
+        assert "svm_seconds" not in json.dumps(report.results_obj())
 
     def test_unsorted_cost_grid_matches_pinned_digest(self):
         cfg = CvConfig(folds=3, repeats=1, seed=7, gammas=(0.5, 2.0), depths=(1, 2),
@@ -624,6 +627,7 @@ class TestReportOutput:
         env = report.environment
         assert "tool_version" in env and "timestamp_utc" in env
         assert env["gram_seconds"]  # full mode computes at least one matrix
+        assert 0 < env["svm_seconds"] < env["total_seconds"]
         assert env["gram_psd"]["gamma=1,H=1"]["psd"]
         assert not any("positive semidefinite" in w for w in report.warnings)
         assert env["convergence_warnings"] >= 0

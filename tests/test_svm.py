@@ -1,6 +1,7 @@
 """Dual SVM training against hand-derived fixtures and a global oracle."""
 
 import hashlib
+import json
 import math
 import re
 import warnings
@@ -11,6 +12,7 @@ import pytest
 from nask.errors import ConfigError, DegenerateClassError, SvmError
 from nask.svm import (
     BinarySvm,
+    KernelBlock,
     SvmModel,
     decision_function,
     load_model,
@@ -35,6 +37,11 @@ DUPLICATE_OBJECTIVE_AT_C1 = 2.0
 # svm_fingerprint() of the current solver: a change that moves these bits
 # must say so in CHANGES.md
 SVM_FINGERPRINT = "e0a59c76902516472dafeaf04be55784ab59952b1b0b8d1adc5588c980b3db84"
+
+
+# asymmetric_fingerprint() of the solver before kernel blocks were
+# prepared once per cost sweep; these fits go through the transposed copy
+ASYMMETRIC_FINGERPRINT = "a46c536224b62694886c7e2737c70d5b6d77d268a2a4d20cbff03a72695f0b55"
 
 
 def random_psd_kernel(rng, n: int) -> np.ndarray:
@@ -85,6 +92,37 @@ def svm_fingerprint() -> str:
             max_passes = int(rng.integers(1, 6)) if trial % 4 == 3 else None
             for machine in train_ovr(K, labels, C, max_passes=max_passes).machines:
                 add(machine)
+    return digest.hexdigest()
+
+
+def asymmetric_fingerprint() -> str:
+    """SHA-256 over alpha, bias, objective, peak, iterations and convergence
+    of seeded binary and one-vs-rest fits on kernel blocks that are not
+    symmetric, so the solver reads columns from a transposed copy; small
+    and large C, some fits capped at a few updates."""
+    rng = np.random.default_rng(2727)
+    digest = hashlib.sha256()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for trial in range(60):
+            n = int(rng.integers(4, 20))
+            X = rng.normal(size=(n, 3))
+            K = np.exp(-((X[:, None, :] - X[None, :, :]) ** 2).sum(-1))
+            K = K + 0.3 * rng.normal(size=(n, n))
+            C = float(rng.choice([0.05, 1.0, 20.0]))
+            max_passes = int(rng.integers(1, 6)) if trial % 4 == 3 else None
+            if trial % 2:
+                labels = np.arange(n) % (2 + trial % 3)
+                rng.shuffle(labels)
+                machines = train_ovr(K, labels, C, max_passes=max_passes).machines
+            else:
+                y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+                y[:2] = (1.0, -1.0)
+                machines = (train_binary(K, y, C, max_passes=max_passes),)
+            for m in machines:
+                digest.update(m.alpha.tobytes())
+                digest.update(np.array([m.bias, m.objective, m.peak]).tobytes())
+                digest.update(np.array([m.iterations, m.converged]).tobytes())
     return digest.hexdigest()
 
 
@@ -217,6 +255,50 @@ class TestSolverProperties:
 
     def test_seeded_fits_match_the_pinned_fingerprint(self):
         assert svm_fingerprint() == SVM_FINGERPRINT
+
+    def test_asymmetric_fits_match_the_pinned_fingerprint(self):
+        assert asymmetric_fingerprint() == ASYMMETRIC_FINGERPRINT
+
+
+@pytest.mark.filterwarnings("ignore:SMO did not converge")
+class TestKernelBlock:
+    @pytest.mark.parametrize("max_passes", [None, 3])
+    @pytest.mark.parametrize("classes", [2, 3])
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_block_fits_equal_array_fits(self, symmetric, classes, max_passes):
+        rng = np.random.default_rng(63)
+        K = random_psd_kernel(rng, 14)
+        if not symmetric:
+            K += rng.normal(size=K.shape)
+        labels = np.arange(14) % classes
+        block = KernelBlock(K, labels)
+        for C in (0.01, 1.0, 100.0, 1.0):  # the block serves fit after fit
+            fitted = train_ovr(block, labels, C, max_passes=max_passes)
+            plain = train_ovr(K, labels, C, max_passes=max_passes)
+            assert fitted.classes == plain.classes
+            for a, b in zip(fitted.machines, plain.machines, strict=True):
+                assert a.alpha.tobytes() == b.alpha.tobytes()
+                assert np.float64(a.bias).tobytes() == np.float64(b.bias).tobytes()
+                assert (a.iterations, a.peak, a.converged, a.positive_class) == (
+                    b.iterations, b.peak, b.converged, b.positive_class)
+                assert max_passes is None or not a.converged
+
+    def test_binary_fit_is_the_block_machine(self):
+        rng = np.random.default_rng(64)
+        K = random_psd_kernel(rng, 10)
+        y = np.where(np.arange(10) % 2 == 0, 1.0, -1.0)
+        binary = train_binary(K, y, C=1.0)
+        (machine,) = train_ovr(KernelBlock(K, y), y, C=1.0).machines
+        assert binary.alpha.tobytes() == machine.alpha.tobytes()
+        assert (binary.bias, binary.iterations, binary.peak) == (
+            machine.bias, machine.iterations, machine.peak)
+
+    def test_labels_must_be_the_blocks(self):
+        K, labels = np.eye(4), np.array([0, 1, 0, 1])
+        block = KernelBlock(K, labels)
+        assert train_ovr(block, labels.copy(), C=1.0).classes == (0, 1)
+        with pytest.raises(SvmError, match="labels differ"):
+            train_ovr(block, labels[::-1], C=1.0)
 
 
 class TestValidation:
@@ -366,6 +448,36 @@ class TestSerialization:
         assert np.allclose(
             decision_function(loaded, rows), decision_function(model, rows)
         )
+
+    @pytest.mark.parametrize("keys, value, named", [
+        # the keys of the edited value, its new value (None deletes it), and
+        # the start of the error that names the field
+        (("machines", 0, "support"), [0.5, 1], "machines[0].support[0] must be an integer"),
+        (("machines", 1, "support"), [0, 12], "machines[1].support[1] must be an integer"
+                                              " index below n_train = 12"),
+        (("machines", 2, "dual_coef"), [], "machines[2].dual_coef holds 0 values"),
+        (("machines", 0, "bias"), None, "machines[0].bias is missing"),
+        (("n_train",), None, "n_train is missing"),
+        (("classes",), [0, 1], "machines must be a list of 1 machines for 2 classes"),
+        (("classes",), [0, 2, 1], "machines[1].positive_class must be class 2"),
+    ], ids=["fractional-support", "support-out-of-range", "length-mismatch",
+            "missing-machine-key", "missing-key", "class-count", "class-order"])
+    def test_malformed_models_are_rejected(self, tmp_path, keys, value, named):
+        rng = np.random.default_rng(62)
+        model = train_ovr(random_psd_kernel(rng, 12), np.arange(12) % 3, C=2.0)
+        path = save_model(model, tmp_path / "model.json")
+        obj = json.loads(path.read_text())
+        *walk, last = keys
+        owner = obj
+        for key in walk:
+            owner = owner[key]
+        if value is None:
+            del owner[last]
+        else:
+            owner[last] = value
+        path.write_text(json.dumps(obj))
+        with pytest.raises(SvmError, match=f"^model.json: {re.escape(named)}"):
+            load_model(path)
 
     def test_unsupported_format_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
