@@ -48,6 +48,8 @@ def _default_threads() -> int:
         if value < 1:
             raise ConfigError(f"NASK_THREADS must be >= 1, got {value}")
         return value
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 

@@ -11,14 +11,14 @@ cross-validation on the training portion only. A run takes three steps:
    only the dataset-wide attribute ranges do, and that transductive caveat
    is stamped into every report. A per-fold range mode builds a table per
    fold from training-graph ranges only, for auditing the effect.
-2. A cost sweep slices one table entry's train and held-out blocks once,
-   cosine-normalizing them when the grid point asks for it, and fits the
-   costs on them in ascending order, reusing each fit that never touched
-   the box for the larger costs. `environment` counts the fresh fits, the
-   reused ones, the SMO updates, and the machines that hit their update
-   cap (`convergence_warnings`), in all and per grid point
-   (`unconverged_by_config`), and the seconds all sweeps took
-   (`svm_seconds`).
+2. One cost sweep per split and table entry slices the entry's train and
+   held-out blocks once, cosine-normalizes a copy of them for the
+   normalized grid points, and fits the costs on each pair in ascending
+   order, reusing each fit that never touched the box for the larger
+   costs. `environment` counts the fresh fits, the reused ones, the SMO
+   updates, and the machines that hit their update cap per grid point
+   (`unconverged_by_config`) and in all (`convergence_warnings`, their
+   sum), and the seconds all sweeps took (`svm_seconds`).
 3. Selection averages each grid point's inner accuracies and picks the
    first maximum in the canonical grid order.
 """
@@ -191,8 +191,8 @@ def stratified_folds(labels, k: int, seed) -> list[np.ndarray]:
     """
     labels = np.asarray(labels)
     n = labels.shape[0]
-    if k < 2:
-        raise ConfigError(f"folds must be >= 2, got {k}")
+    if not is_integer(k) or k < 2:
+        raise ConfigError(f"folds must be an integer >= 2, got {k!r}")
     if k > n:
         raise ConfigError(f"cannot split {n} examples into {k} folds")
     rng = np.random.default_rng(seed)
@@ -257,48 +257,49 @@ def _label(value) -> str:
     return f"{value:g}" if float(f"{value:g}") == value else repr(float(value))
 
 
-def _cost_sweep(values, labels, train_idx, eval_idx, costs, counts: dict, normalize=False,
-                unconverged: list | None = None) -> list:
-    """Held-out accuracy of one fit per cost, in `costs` order, on blocks
-    sliced once from the raw Gram `values`. With `normalize`, both blocks
-    are cosine-normalized by the Gram's diagonal: the same bits as slicing
-    normalize_gram's values. The training block is prepared once, as a
-    KernelBlock, for every fit.
+def _cost_sweep(values, labels, train_idx, eval_idx, normalize_options, costs, counts) -> dict:
+    """Held-out accuracy and unconverged machines of one fit per
+    normalization and cost, keyed `(normalize, cost)`, on the train and
+    held-out blocks sliced once from the raw Gram `values`. A normalized
+    pair of blocks is the raw pair cosine-normalized by the Gram's
+    diagonal: the same bits as slicing normalize_gram's values. Each
+    normalization's training block is prepared once, as a KernelBlock, for
+    all its fits.
 
     Costs are walked in ascending order. A fit whose every machine peaked
     strictly below its own C never touched the box, so it is the fit at any
     larger C, bit for bit: it and its accuracy are reused until a fit
     reaches the box. `counts` gains the fresh fits, the reused ones, the
-    SMO updates of the fresh ones, and the unconverged machines of all,
-    whose warnings are muted; `unconverged`, if given, gains the last per
-    cost, in `costs` order.
+    SMO updates of the fresh ones, and the sweep's wall time in
+    `svm_seconds`; the SMO warnings are muted.
     """
-    train_block = values[np.ix_(train_idx, train_idx)]
-    eval_block = values[np.ix_(eval_idx, train_idx)]
-    if normalize:
-        diag = values.diagonal()
-        train_block = _cosine(train_block, diag[train_idx], diag[train_idx])
-        eval_block = _cosine(eval_block, diag[eval_idx], diag[train_idx])
+    started = time.perf_counter()
+    raw_train = values[np.ix_(train_idx, train_idx)]
+    raw_eval = values[np.ix_(eval_idx, train_idx)]
+    diag = values.diagonal()
     train_labels, eval_labels = labels[train_idx], labels[eval_idx]
-    block = KernelBlock(train_block, train_labels)
-    accuracies = [0.0] * len(costs)
-    model = None
+    results = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for k in np.argsort(costs, kind="stable"):
-            if model is not None and all(m.peak < model.C for m in model.machines):
-                counts["svm_reused_fits"] += 1
-            else:
-                model = train_ovr(block, train_labels, costs[k])
-                accuracy = float(np.mean(predict(model, eval_block) == eval_labels))
-                counts["svm_fits"] += 1
-                counts["svm_updates"] += sum(m.iterations for m in model.machines)
-            accuracies[k] = accuracy
-            missed = sum(not m.converged for m in model.machines)
-            counts["convergence_warnings"] += missed
-            if unconverged is not None:
-                unconverged[k] += missed
-    return accuracies
+        for normalize in normalize_options:
+            train_block, eval_block = raw_train, raw_eval
+            if normalize:
+                train_block = _cosine(raw_train, diag[train_idx], diag[train_idx])
+                eval_block = _cosine(raw_eval, diag[eval_idx], diag[train_idx])
+            block = KernelBlock(train_block, train_labels)
+            model = None
+            for k in np.argsort(costs, kind="stable"):
+                if model is not None and all(m.peak < model.C for m in model.machines):
+                    counts["svm_reused_fits"] += 1
+                else:
+                    model = train_ovr(block, train_labels, costs[k])
+                    accuracy = float(np.mean(predict(model, eval_block) == eval_labels))
+                    counts["svm_fits"] += 1
+                    counts["svm_updates"] += sum(m.iterations for m in model.machines)
+                missed = sum(not m.converged for m in model.machines)
+                results[normalize, costs[k]] = accuracy, missed
+    counts["svm_seconds"] += time.perf_counter() - started
+    return results
 
 
 def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
@@ -320,12 +321,9 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
         )
     digest = ds.digest  # read before compute_ranges, whose copies carry it along
     collected: list[str] = []
-    counts = dict.fromkeys(
-        ("convergence_warnings", "svm_fits", "svm_reused_fits", "svm_updates"), 0
-    )
+    counts = dict.fromkeys(("svm_seconds", "svm_fits", "svm_reused_fits", "svm_updates"), 0)
     gram_seconds: dict = {}
     gram_psd: dict = {}
-    svm_seconds = 0.0
     if cfg.range_mode == "full":
         table = _kernel_table(compute_ranges(ds), cfg, "", gram_seconds, gram_psd)
 
@@ -366,31 +364,21 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
                     assert not np.intersect1d(val_idx, test_idx).size
                     inner_train = np.setdiff1d(train_idx, val_idx)
                     for (gamma, depth), values in table.items():
-                        for normalize in cfg.normalize_options:
-                            missed = [0] * len(cfg.costs)
-                            swept = time.perf_counter()
-                            accuracies = _cost_sweep(
-                                values, labels, inner_train, val_idx, cfg.costs, counts,
-                                normalize, missed,
-                            )
-                            svm_seconds += time.perf_counter() - swept
-                            for cost, accuracy, count in zip(cfg.costs, accuracies, missed):
-                                totals[gamma, depth, normalize, cost] += accuracy
-                                unconverged[gamma, depth, normalize, cost] += count
+                        swept = _cost_sweep(values, labels, inner_train, val_idx,
+                                            cfg.normalize_options, cfg.costs, counts)
+                        for (normalize, cost), (accuracy, missed) in swept.items():
+                            totals[gamma, depth, normalize, cost] += accuracy
+                            unconverged[gamma, depth, normalize, cost] += missed
                 means = {config: totals[config] / len(inner) for config in grid}
                 for config in grid:
                     inner_sums[config] += means[config]
                 best = max(grid, key=means.__getitem__)  # ties resolve to the first
                 best_inner = means[best]
             gamma, depth, normalize, cost = best
-            missed = [0]
-            swept = time.perf_counter()
-            (accuracy,) = _cost_sweep(
-                table[gamma, depth], labels, train_idx, test_idx, (cost,), counts, normalize,
-                missed,
-            )
-            svm_seconds += time.perf_counter() - swept
-            unconverged[best] += missed[0]
+            ((accuracy, missed),) = _cost_sweep(
+                table[gamma, depth], labels, train_idx, test_idx, (normalize,), (cost,), counts,
+            ).values()
+            unconverged[best] += missed
             pick_counts[best] += 1
             outer_accuracies.append(accuracy)
             fold_entries.append(
@@ -425,8 +413,9 @@ def cross_validate(ds: Dataset, cfg: CvConfig) -> CvReport:
         "timestamp_utc": datetime.now(timezone.utc).isoformat(),
         "total_seconds": round(time.perf_counter() - started, 6),
         "gram_seconds": gram_seconds,
-        "svm_seconds": round(svm_seconds, 6),
+        "svm_seconds": round(counts.pop("svm_seconds"), 6),
         "gram_psd": gram_psd,
+        "convergence_warnings": sum(unconverged.values()),
         **counts,
         "unconverged_by_config": {
             f"gamma={_label(g)},H={h},normalize={b},C={_label(c)}": unconverged[g, h, b, c]

@@ -1,11 +1,13 @@
 """End-to-end command-line runs against a temporary TU-format dataset."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import nask.cli
 from nask.cli import main
 from nask.datasets import compute_ranges, load_tu_dataset, save_tu_dataset
 from nask.expansion import ExpansionPlan
@@ -360,3 +362,12 @@ class TestThreadsEnvironment:
         code = main(["gram", "--data", str(tu_dir), "--depth", "1", "--out", str(out)])
         assert code == 0
         assert read_manifest(out)["flags"]["threads"] == 2
+
+    def test_default_threads_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.delenv("NASK_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert nask.cli._default_threads() == 2
+        # a platform without affinity masks counts every CPU
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert nask.cli._default_threads() == 64

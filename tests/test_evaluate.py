@@ -39,6 +39,12 @@ PINNED_PER_FOLD = ("b3026eb7185adbfb3b0c5f7800ebc8e1d5dabb48f0c0bf15d06758909294
 # the same for a cost grid out of order, whose accuracies must come back in
 # cfg.costs order
 PINNED_UNSORTED = ("9e51392fd5620d58adfcf6e529c2bd50f34e72fa4143603cfd57d48f490cd72c", 78)
+# (svm_fits, svm_reused_fits, svm_updates) of the three pinned runs: the work
+# their cost sweeps did, which a change that only reorganizes the sweeps
+# must not move
+WORK_FULL = (147, 0, 24178)
+WORK_UNSORTED = (183, 36, 20868)
+WORK_PER_FOLD = (31, 8, 6085)
 
 
 def easy_dataset(count=18, seed=30, name="easy2"):
@@ -52,6 +58,14 @@ def easy_dataset(count=18, seed=30, name="easy2"):
         edges = synth.connected_edges(rng, n, extra=0.2)
         graphs.append(graph_with(i, n, edges, [(label,)] * n, label=label))
     return synth.dataset_from_graphs(graphs, name=name, schema=schema)
+
+
+def assert_work(report, work):
+    """The run's fit counts are `work`, and its convergence warnings are the
+    sum of its per-grid-point counts."""
+    env = report.environment
+    assert (env["svm_fits"], env["svm_reused_fits"], env["svm_updates"]) == work
+    assert env["convergence_warnings"] == sum(env["unconverged_by_config"].values())
 
 
 def noisy_dataset():
@@ -116,6 +130,15 @@ class TestStratifiedFolds:
             stratified_folds(labels, 1, seed=0)
         with pytest.raises(ConfigError):
             stratified_folds(labels, 5, seed=0)
+
+    @pytest.mark.parametrize("k", [2.5, np.float64(2.0), "2"])
+    def test_non_integer_fold_count_rejected(self, k):
+        with pytest.raises(ConfigError, match="folds must be an integer"):
+            stratified_folds(np.array([0, 1, 0, 1]), k, seed=0)
+
+    def test_numpy_integer_fold_count_accepted(self):
+        folds = stratified_folds(np.array([0, 1, 0, 1]), np.int64(2), seed=0)
+        assert len(folds) == 2
 
 
 class TestCvConfig:
@@ -252,6 +275,7 @@ class TestCrossValidate:
         report = cross_validate(noisy_dataset(), cfg)
         pinned = (report.results_digest(), report.environment["convergence_warnings"])
         assert pinned == PINNED_FULL
+        assert_work(report, WORK_FULL)
 
     def test_unconverged_machines_are_counted_per_grid_point(self):
         cfg = CvConfig(folds=3, repeats=1, seed=5, gammas=(0.5, 2.0), depths=(1, 2),
@@ -276,6 +300,7 @@ class TestCrossValidate:
         report = cross_validate(noisy_dataset(), cfg)
         pinned = (report.results_digest(), report.environment["convergence_warnings"])
         assert pinned == PINNED_UNSORTED
+        assert_work(report, WORK_UNSORTED)
         assert [entry["C"] for entry in report.per_config[:3]] == [10.0, 0.01, 1.0]
 
     def test_per_fold_run_matches_pinned_digest(self):
@@ -284,6 +309,7 @@ class TestCrossValidate:
         report = cross_validate(noisy_dataset(), cfg)
         pinned = (report.results_digest(), report.environment["convergence_warnings"])
         assert pinned == PINNED_PER_FOLD
+        assert_work(report, WORK_PER_FOLD)
 
     def test_convergence_count_reads_the_models(self, monkeypatch):
         monkeypatch.setattr(nask.evaluate, "train_ovr", functools.partial(train_ovr, max_passes=1))
@@ -520,22 +546,23 @@ def same_machines(a, b) -> bool:
 class TestCostSweep:
     COSTS = (1e2, 1e-3, 1.0, 1e-1, 1e3, 1e-2, 1e1)  # out of order on purpose
 
-    def sweep(self, monkeypatch, problem, costs, max_passes=None):
-        """Run the sweep with train_ovr spied on; return the accuracies, the
-        fresh fits by cost, and the counts."""
+    def sweep(self, monkeypatch, problem, costs, max_passes=None, normalize_options=(False,)):
+        """Run the sweep with train_ovr spied on; return its results, the
+        fresh fits as (cost, model) in fit order, and the counts without the
+        sweep's seconds, which must be positive."""
         K, labels, train_idx, eval_idx = problem
-        fresh = {}
+        fits = []
 
         def spied(block, block_labels, cost):
-            fresh[cost] = train_ovr(block, block_labels, cost, max_passes=max_passes)
-            return fresh[cost]
+            fits.append((cost, train_ovr(block, block_labels, cost, max_passes=max_passes)))
+            return fits[-1][1]
 
         monkeypatch.setattr(nask.evaluate, "train_ovr", spied)
-        counts = dict.fromkeys(
-            ("convergence_warnings", "svm_fits", "svm_reused_fits", "svm_updates"), 0
-        )
-        accuracies = _cost_sweep(K, labels, train_idx, eval_idx, costs, counts)
-        return accuracies, fresh, counts
+        counts = dict.fromkeys(("svm_seconds", "svm_fits", "svm_reused_fits", "svm_updates"), 0)
+        swept = _cost_sweep(K, labels, train_idx, eval_idx, normalize_options, costs, counts)
+        assert swept.keys() == {(b, cost) for b in normalize_options for cost in costs}
+        assert counts.pop("svm_seconds") > 0
+        return swept, fits, counts
 
     @pytest.mark.parametrize("max_passes", [None, 3])
     @pytest.mark.parametrize("classes", [2, 3])
@@ -543,25 +570,24 @@ class TestCostSweep:
     def test_a_reused_fit_is_the_fresh_fit(self, monkeypatch, kind, classes, max_passes):
         problem = sweep_problem(11, kind, classes)
         K, labels, train_idx, eval_idx = problem
-        accuracies, fresh, counts = self.sweep(monkeypatch, problem, self.COSTS, max_passes)
+        swept, fits, counts = self.sweep(monkeypatch, problem, self.COSTS, max_passes)
+        fresh = dict(fits)
         block, held_out = K[np.ix_(train_idx, train_idx)], K[np.ix_(eval_idx, train_idx)]
-        model, unconverged, reused = None, 0, 0
+        refits = {c: train_ovr(block, labels[train_idx], c, max_passes=max_passes)
+                  for c in self.COSTS}
+        model, reused = None, 0
         for cost in sorted(self.COSTS):
             model = fresh.get(cost, model)
-            refit = train_ovr(block, labels[train_idx], cost, max_passes=max_passes)
             if cost not in fresh:
-                assert same_machines(model, refit)
+                assert same_machines(model, refits[cost])
                 reused += 1
-            unconverged += sum(not m.converged for m in refit.machines)
-        # accuracies come back in the order of the given costs
-        assert accuracies == [
-            float(np.mean(predict(train_ovr(block, labels[train_idx], cost,
-                                            max_passes=max_passes), held_out)
-                          == labels[eval_idx]))
+        # read in the order of the given costs, each result is its own fit's
+        assert [swept[False, cost] for cost in self.COSTS] == [
+            (float(np.mean(predict(refits[cost], held_out) == labels[eval_idx])),
+             sum(not m.converged for m in refits[cost].machines))
             for cost in self.COSTS
         ]
         assert counts == {
-            "convergence_warnings": unconverged,
             "svm_fits": len(fresh),
             "svm_reused_fits": reused,
             "svm_updates": sum(m.iterations for model in fresh.values() for m in model.machines),
@@ -582,26 +608,42 @@ class TestCostSweep:
 
     @pytest.mark.parametrize("kind", ["psd", "rbf"])
     def test_a_normalized_sweep_fits_the_normalized_kernel(self, monkeypatch, kind):
-        K, labels, train_idx, eval_idx = sweep_problem(4, kind, 3)
+        K, labels, train_idx, eval_idx = problem = sweep_problem(4, kind, 3)
         d = K.diagonal()
         cosine = (K / np.sqrt(np.outer(d, d)), labels, train_idx, eval_idx)
         expected, expected_fits, expected_counts = self.sweep(monkeypatch, cosine, self.COSTS)
-        counts = dict.fromkeys(expected_counts, 0)
-        fresh = {}
-        monkeypatch.setattr(nask.evaluate, "train_ovr", lambda block, block_labels, cost:
-                            fresh.setdefault(cost, train_ovr(block, block_labels, cost)))
-        accuracies = _cost_sweep(K, labels, train_idx, eval_idx, self.COSTS, counts, True)
-        assert accuracies == expected
+        swept, fits, counts = self.sweep(monkeypatch, problem, self.COSTS,
+                                         normalize_options=(True,))
+        assert swept == {(True, cost): result for (_, cost), result in expected.items()}
         assert counts == expected_counts
-        assert fresh.keys() == expected_fits.keys()
-        assert all(same_machines(fresh[c], expected_fits[c]) for c in fresh)
+        assert [c for c, _ in fits] == [c for c, _ in expected_fits]
+        assert all(same_machines(a, b) for (_, a), (_, b) in zip(fits, expected_fits))
+
+    @pytest.mark.parametrize("kind", ["psd", "rbf"])
+    def test_one_sweep_over_both_normalizations_is_two_sweeps(self, monkeypatch, kind):
+        problem = sweep_problem(4, kind, 3)
+        both, both_fits, both_counts = self.sweep(monkeypatch, problem, self.COSTS,
+                                                  normalize_options=(True, False))
+        expected, expected_fits, expected_counts = {}, [], dict.fromkeys(both_counts, 0)
+        for normalize in (True, False):
+            swept, fits, counts = self.sweep(monkeypatch, problem, self.COSTS,
+                                             normalize_options=(normalize,))
+            expected.update(swept)
+            expected_fits += fits
+            for key, count in counts.items():
+                expected_counts[key] += count
+        assert both == expected
+        assert both_counts == expected_counts
+        assert [c for c, _ in both_fits] == [c for c, _ in expected_fits]
+        assert all(same_machines(a, b) for (_, a), (_, b) in zip(both_fits, expected_fits))
 
     def test_a_peak_between_two_costs_is_refitted(self, monkeypatch):
         # this fit's peak lies above its own C and below the next one, and
         # the fit at the next C differs: a rule that tested the next C would
         # reuse it
         problem = sweep_problem(0, "rbf", 2)
-        _, fresh, counts = self.sweep(monkeypatch, problem, (1.0, 10.0))
+        _, fits, counts = self.sweep(monkeypatch, problem, (1.0, 10.0))
+        fresh = dict(fits)
         low, high = fresh[1.0], fresh[10.0]
         assert 1.0 <= max(m.peak for m in low.machines) < 10.0
         assert not same_machines(low, high)
